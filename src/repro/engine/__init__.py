@@ -6,12 +6,15 @@ run compile→optimize→simulate experiments:
 * :class:`ProgramCache` — content-addressed compile-once cache
   (`repro.engine.cache`);
 * :class:`ExperimentEngine` / :class:`ExperimentSpec` — single experiments and
-  parallel grids with deterministic ordering (`repro.engine.engine`);
+  parallel grids with deterministic ordering; each engine simulates every
+  distinct (program, timing model, RAM set) once and prices the run under
+  each cell's energy model (`repro.engine.engine`);
 * :class:`BenchmarkRun` / :class:`ResultStore` — result records and JSON
   persistence for cross-run comparison (`repro.engine.results`).
 
 See ``DESIGN.md`` for the architecture and the invariants (bitwise-identical
-results across sequential/parallel and decode-once/interpreted execution).
+results across sequential/parallel and decode-once/interpreted execution,
+and between a memoised run priced under a model and a fresh simulation).
 """
 
 from repro.engine.cache import (

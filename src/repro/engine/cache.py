@@ -134,6 +134,13 @@ def disk_key(key: Tuple) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+def _benchmark_inputs(name: str, opt_level: str) -> Tuple[str, CompileOptions]:
+    """(source, compile options) of a registered BEEBS benchmark."""
+    benchmark = get_benchmark(name)
+    return benchmark.source, CompileOptions.for_level(
+        opt_level, program_name=benchmark.name)
+
+
 class ProgramCache:
     """Compile-once cache of linked machine programs.
 
@@ -276,15 +283,16 @@ class ProgramCache:
     # ------------------------------------------------------------------ #
     def get_benchmark(self, name: str, opt_level: str = "O2") -> MachineProgram:
         """Shared pristine program for a registered BEEBS benchmark."""
-        benchmark = get_benchmark(name)
-        options = CompileOptions.for_level(opt_level, program_name=benchmark.name)
-        return self.get(benchmark.source, options)
+        return self.get(*_benchmark_inputs(name, opt_level))
 
     def get_benchmark_mutable(self, name: str, opt_level: str = "O2") -> MachineProgram:
         """Private mutable copy of a registered BEEBS benchmark's program."""
-        benchmark = get_benchmark(name)
-        options = CompileOptions.for_level(opt_level, program_name=benchmark.name)
-        return self.get_mutable(benchmark.source, options)
+        return self.get_mutable(*_benchmark_inputs(name, opt_level))
+
+    @staticmethod
+    def benchmark_key(name: str, opt_level: str = "O2") -> Tuple:
+        """The cache key of a BEEBS benchmark's program, without compiling."""
+        return program_key(*_benchmark_inputs(name, opt_level))
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:

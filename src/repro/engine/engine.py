@@ -6,11 +6,21 @@ Every figure, benchmark and example funnels through
 1. compiles the benchmark **once** through the shared
    :class:`~repro.engine.cache.ProgramCache` (the seed pipeline compiled the
    same source twice per optimized run),
-2. simulates the pristine shared program for the baseline — baseline results
-   are memoised per (program, engine) since simulation does not mutate the
-   program,
-3. deep-copies the pristine program for the placement optimizer, which
-   rewrites blocks in place, and simulates the optimized copy.
+2. simulates the pristine shared program for the baseline,
+3. copies the pristine program for the placement optimizer, which selects
+   a RAM set and rewrites blocks in place, and simulates the placed copy.
+
+Simulations are memoised per engine.  A run's cycles, profile, return value
+and integer energy-event counts depend on the program, its RAM set and the
+timing model, never on the energy model, so the memo is keyed on (program
+cache key, canonical timing model, sorted RAM set — ``None`` for the
+baseline) and each cell prices the stored counts under its own energy model
+(:meth:`~repro.sim.SimulationResult.priced`, the same reduction a fresh
+simulation ends with, so a priced result equals a fresh one bitwise).  A
+hit skips only the simulation: the copy, block selection and transform
+still run per cell, because the transform fills ``solution.instrumented``,
+which records store.  The memo holds at most :data:`SIMULATION_MEMO_CAP`
+runs (oldest evicted first), so a long-lived worker stays bounded.
 
 Grids (benchmark × opt level × frequency mode) fan out over a
 ``concurrent.futures.ProcessPoolExecutor`` with deterministic result
@@ -19,11 +29,10 @@ first, and every worker computes the exact same floats the sequential path
 does, so parallel and sequential grids are bitwise identical.
 
 Design-space sweeps (``repro.explore``) additionally vary the *energy model*
-per cell — the paper's flash/RAM energy-ratio axis.  :meth:`ExperimentEngine.run_cells`
-accepts ``(spec, energy_model)`` pairs and routes each cell to a sub-engine
-for its model; sub-engines share this engine's :class:`ProgramCache`
-(compilation is independent of the energy model) but keep their own
-baseline memos (which are not).
+per cell — the paper's flash/RAM energy-ratio axis.
+:meth:`ExperimentEngine.run_cells` accepts ``(spec, energy_model)`` pairs;
+one engine serves every model, and cells that differ only in the energy
+model share their simulations through the memo.
 """
 
 from __future__ import annotations
@@ -32,16 +41,18 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.beebs import get_benchmark
-from repro.codegen import CompileOptions
 from repro.engine.cache import ProgramCache, default_cache
 from repro.engine.results import BenchmarkRun
 from repro.machine.program import MachineProgram
 from repro.placement import FlashRAMOptimizer, PlacementConfig
-from repro.sim import EnergyModel, SimulationResult, Simulator
+from repro.sim import EnergyModel, SimulationResult, Simulator, TimingSpec
 from repro.telemetry import get_telemetry
+
+#: Most simulations one engine keeps for reuse.  A 72-cell Figure 5/6 grid
+#: needs 40; past the cap the oldest entry is evicted.
+SIMULATION_MEMO_CAP = 1024
 
 
 def frequency_fidelity(parameters, profile) -> Dict[str, float]:
@@ -117,17 +128,15 @@ class ExperimentEngine:
         #: ``cache_dir`` locally, but its directory still propagates).
         self.cache_dir = self.cache.cache_dir if cache is not None else cache_dir
         self.max_workers = max_workers
-        self._baseline_results: Dict[Tuple, SimulationResult] = {}
+        #: Simulations by (program key, timing model, RAM set or None for
+        #: the baseline), in insertion order for eviction.
+        self._simulations: Dict[Tuple, SimulationResult] = {}
         #: Latest cache-stats snapshot per pool worker, keyed by
         #: ``(pool_epoch, pid)`` — pids can be reused across pools, and each
         #: worker's snapshot is cumulative within its pool, so "latest per
         #: epoch+pid" sums correctly in :meth:`merged_cache_stats`.
         self.pool_cache_stats: Dict[Tuple[int, int], Dict[str, int]] = {}
         self._pool_epoch = 0
-        #: Sub-engines for cells that use a non-default energy model; they
-        #: share this engine's program cache but keep their own baseline
-        #: memos (baselines depend on the energy model).
-        self._model_engines: List[Tuple[EnergyModel, "ExperimentEngine"]] = []
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -142,31 +151,104 @@ class ExperimentEngine:
         return self.cache.get_benchmark_mutable(name, opt_level)
 
     # ------------------------------------------------------------------ #
+    # Simulation memo
+    # ------------------------------------------------------------------ #
+    def _memo_key(self, name: str, opt_level: str, timing_model: str,
+                  ram_blocks: Optional[Iterable[str]] = None) -> Tuple:
+        """What a simulation depends on: the program, its timing model and
+        the RAM set the transform applied (``None``: the pristine program).
+
+        The transform's other input, the stack reserve, is the same
+        :class:`PlacementConfig` default for every cell of the engine.
+        """
+        placed = None if ram_blocks is None else tuple(sorted(ram_blocks))
+        return (self.cache.benchmark_key(name, opt_level),
+                TimingSpec.parse(timing_model).name, placed)
+
+    def _recall(self, key: Tuple,
+                energy_model: EnergyModel) -> Optional[SimulationResult]:
+        """The memoised run for *key* priced under *energy_model*, if any."""
+        result = self._simulations.get(key)
+        if result is None:
+            return None
+        hub = get_telemetry()
+        if hub.enabled:
+            hub.add("sim.reused")
+        return result.priced(energy_model)
+
+    def _remember(self, key: Tuple, result: SimulationResult) -> None:
+        if len(self._simulations) >= SIMULATION_MEMO_CAP:
+            del self._simulations[next(iter(self._simulations))]
+        self._simulations[key] = result
+
+    # ------------------------------------------------------------------ #
     # Single experiments
     # ------------------------------------------------------------------ #
-    def _baseline(self, name: str, opt_level: str,
-                  timing_model: str = "flat") -> SimulationResult:
-        """Simulate the unmodified program; memoised per (benchmark, level,
-        timing model)."""
-        key = (name, opt_level, timing_model)
-        result = self._baseline_results.get(key)
+    def _baseline(self, name: str, opt_level: str, timing_model: str,
+                  energy_model: EnergyModel) -> SimulationResult:
+        """Simulate the unmodified program (memoised, priced per call)."""
+        key = self._memo_key(name, opt_level, timing_model)
+        result = self._recall(key, energy_model)
         if result is None:
             hub = get_telemetry()
             with hub.span("compile", benchmark=name, opt_level=opt_level):
                 program = self.compile_benchmark(name, opt_level)
             with hub.span("simulate", stage="baseline"):
-                result = Simulator(program, energy_model=self.energy_model,
+                result = Simulator(program, energy_model=energy_model,
                                    timing_model=timing_model).run()
-            self._baseline_results[key] = result
+            self._remember(key, result)
         return result
+
+    def _optimized(self, spec: ExperimentSpec,
+                   energy_model: EnergyModel) -> BenchmarkRun:
+        """Baseline, optimize a private copy, simulate it (memoised)."""
+        hub = get_telemetry()
+        name, opt_level = spec.benchmark, spec.opt_level
+        timing_model = spec.timing_model
+        baseline = self._baseline(name, opt_level, timing_model, energy_model)
+
+        with hub.span("compile", benchmark=name, opt_level=opt_level,
+                      stage="mutable"):
+            optimized_program = self.compile_benchmark_mutable(name, opt_level)
+        config = PlacementConfig(x_limit=spec.x_limit, r_spare=spec.r_spare,
+                                 frequency_mode=spec.frequency_mode,
+                                 solver=spec.solver,
+                                 timing_model=timing_model)
+        optimizer = FlashRAMOptimizer(optimized_program,
+                                      energy_model=energy_model,
+                                      config=config)
+        profile = (baseline.profile if spec.frequency_mode == "profile"
+                   else None)
+        with hub.span("placement.solve", solver=spec.solver):
+            solution = optimizer.optimize(profile=profile)
+        fb_report = frequency_fidelity(optimizer.parameters, baseline.profile)
+        key = self._memo_key(name, opt_level, timing_model,
+                             solution.ram_blocks)
+        optimized = self._recall(key, energy_model)
+        if optimized is None:
+            with hub.span("simulate", stage="optimized"):
+                optimized = Simulator(optimized_program,
+                                      energy_model=energy_model,
+                                      timing_model=timing_model).run()
+            self._remember(key, optimized)
+
+        if optimized.return_value != baseline.return_value:
+            raise AssertionError(
+                f"{name}/{opt_level}: optimization changed the result "
+                f"({baseline.return_value} -> {optimized.return_value})")
+
+        return BenchmarkRun(name=name, opt_level=opt_level, baseline=baseline,
+                            optimized=optimized, solution=solution,
+                            frequency_mode=spec.frequency_mode,
+                            fb_report=fb_report)
 
     def run_baseline(self, name: str, opt_level: str = "O2",
                      timing_model: str = "flat") -> BenchmarkRun:
         """Compile and simulate one benchmark without the optimization."""
-        get_benchmark(name)  # fail fast on unknown names
         return BenchmarkRun(name=name, opt_level=opt_level,
                             baseline=self._baseline(name, opt_level,
-                                                    timing_model))
+                                                    timing_model,
+                                                    self.energy_model))
 
     def run_optimized(self, name: str, opt_level: str = "O2",
                       x_limit: float = 1.5,
@@ -180,76 +262,34 @@ class ExperimentEngine:
         counts to the optimizer (the dotted points of Figure 5).
         ``timing_model`` applies to the cost model and both simulations.
         """
-        hub = get_telemetry()
-        baseline = self._baseline(name, opt_level, timing_model)
-
-        with hub.span("compile", benchmark=name, opt_level=opt_level,
-                      stage="mutable"):
-            optimized_program = self.compile_benchmark_mutable(name, opt_level)
-        config = PlacementConfig(x_limit=x_limit, r_spare=r_spare,
-                                 frequency_mode=frequency_mode, solver=solver,
-                                 timing_model=timing_model)
-        optimizer = FlashRAMOptimizer(optimized_program,
-                                      energy_model=self.energy_model,
-                                      config=config)
-        profile = baseline.profile if frequency_mode == "profile" else None
-        with hub.span("placement.solve", solver=solver):
-            solution = optimizer.optimize(profile=profile)
-        fb_report = frequency_fidelity(optimizer.parameters, baseline.profile)
-        with hub.span("simulate", stage="optimized"):
-            optimized = Simulator(optimized_program,
-                                  energy_model=self.energy_model,
-                                  timing_model=timing_model).run()
-
-        if optimized.return_value != baseline.return_value:
-            raise AssertionError(
-                f"{name}/{opt_level}: optimization changed the result "
-                f"({baseline.return_value} -> {optimized.return_value})")
-
-        return BenchmarkRun(name=name, opt_level=opt_level, baseline=baseline,
-                            optimized=optimized, solution=solution,
-                            frequency_mode=frequency_mode,
-                            fb_report=fb_report)
+        spec = ExperimentSpec(benchmark=name, opt_level=opt_level,
+                              x_limit=x_limit, r_spare=r_spare,
+                              frequency_mode=frequency_mode, solver=solver,
+                              timing_model=timing_model)
+        return self._optimized(spec, self.energy_model)
 
     def run_spec(self, spec: ExperimentSpec) -> BenchmarkRun:
-        """Run one grid cell."""
-        timing_model = getattr(spec, "timing_model", "flat")
-        with get_telemetry().span("cell", benchmark=spec.benchmark,
-                                  opt_level=spec.opt_level,
-                                  x_limit=spec.x_limit, solver=spec.solver,
-                                  frequency_mode=spec.frequency_mode,
-                                  timing_model=timing_model):
-            if not spec.optimize:
-                return self.run_baseline(spec.benchmark, spec.opt_level,
-                                         timing_model=timing_model)
-            return self.run_optimized(spec.benchmark, spec.opt_level,
-                                      x_limit=spec.x_limit,
-                                      r_spare=spec.r_spare,
-                                      frequency_mode=spec.frequency_mode,
-                                      solver=spec.solver,
-                                      timing_model=timing_model)
+        """Run one grid cell under the engine's energy model."""
+        return self.run_cell(spec)
 
     # ------------------------------------------------------------------ #
     # Grids
     # ------------------------------------------------------------------ #
-    def _engine_for_model(self, energy_model: EnergyModel) -> "ExperimentEngine":
-        """This engine, or a cache-sharing sub-engine for another model."""
-        if energy_model == self.energy_model:
-            return self
-        for model, engine in self._model_engines:
-            if model == energy_model:
-                return engine
-        engine = ExperimentEngine(energy_model=energy_model, cache=self.cache,
-                                  max_workers=1)
-        self._model_engines.append((energy_model, engine))
-        return engine
-
     def run_cell(self, spec: ExperimentSpec,
                  energy_model: Optional[EnergyModel] = None) -> BenchmarkRun:
         """Run one cell, optionally under a cell-specific energy model."""
-        if energy_model is None:
-            return self.run_spec(spec)
-        return self._engine_for_model(energy_model).run_spec(spec)
+        model = energy_model if energy_model is not None else self.energy_model
+        with get_telemetry().span("cell", benchmark=spec.benchmark,
+                                  opt_level=spec.opt_level,
+                                  x_limit=spec.x_limit, solver=spec.solver,
+                                  frequency_mode=spec.frequency_mode,
+                                  timing_model=spec.timing_model):
+            if not spec.optimize:
+                return BenchmarkRun(
+                    name=spec.benchmark, opt_level=spec.opt_level,
+                    baseline=self._baseline(spec.benchmark, spec.opt_level,
+                                            spec.timing_model, model))
+            return self._optimized(spec, model)
 
     def run_cells(self,
                   cells: Sequence[Tuple[ExperimentSpec, Optional[EnergyModel]]],
@@ -286,7 +326,7 @@ class ExperimentEngine:
             return sequential
 
         # Keep same-(benchmark, level) cells on one worker so its per-process
-        # engine reuses the compile and the memoised baseline.  Plain grids
+        # engine reuses the compile and the memoised simulations.  Plain grids
         # are already contiguous, but sharded/resumed sweeps hand us subsets
         # scattered across benchmarks, so tasks are regrouped for the pool
         # and the results put back in cell order afterwards.  Per-cell floats
@@ -347,15 +387,14 @@ class ExperimentEngine:
 # --------------------------------------------------------------------------- #
 # Worker-process plumbing
 # --------------------------------------------------------------------------- #
-#: Per-process engines reused across tasks, one per distinct (energy model,
-#: cache dir) pair (models are small dataclasses, compared by value).
-_WORKER_ENGINES: List[Tuple[EnergyModel, Optional[str], ExperimentEngine]] = []
+#: Per-process engines reused across tasks, one per cache dir.
+_WORKER_ENGINES: Dict[Optional[str], ExperimentEngine] = {}
 
 
 def _worker_cache_stats() -> Dict[str, int]:
     """This worker process's cumulative cache stats, over all its engines."""
     totals: Dict[str, int] = {}
-    for _model, _directory, engine in _WORKER_ENGINES:
+    for engine in _WORKER_ENGINES.values():
         for key, value in engine.cache.stats.as_dict().items():
             totals[key] = totals.get(key, 0) + value
     return totals
@@ -369,16 +408,11 @@ def _grid_worker(payload: Tuple[ExperimentSpec, EnergyModel, Optional[str]]
     can fold pool-side compiles/disk hits into its own summary (keeping only
     the latest snapshot per worker)."""
     spec, energy_model, cache_dir = payload
-    engine = None
-    for model, directory, candidate in _WORKER_ENGINES:
-        if model == energy_model and directory == cache_dir:
-            engine = candidate
-            break
+    engine = _WORKER_ENGINES.get(cache_dir)
     if engine is None:
-        engine = ExperimentEngine(energy_model=energy_model, max_workers=1,
-                                  cache_dir=cache_dir)
-        _WORKER_ENGINES.append((energy_model, cache_dir, engine))
-    run = engine.run_spec(spec)
+        engine = ExperimentEngine(max_workers=1, cache_dir=cache_dir)
+        _WORKER_ENGINES[cache_dir] = engine
+    run = engine.run_cell(spec, energy_model)
     return run, os.getpid(), _worker_cache_stats()
 
 

@@ -13,7 +13,11 @@ Two LP back ends drive the node relaxations:
   objective untouched.  Reduced costs depend only on those, so the parent's
   optimal basis stays **dual-feasible** in both children and the bounded
   revised simplex re-optimises with the dual method in a handful of pivots
-  (see DESIGN.md, "Warm-started placement ILP").
+  (see DESIGN.md, "Warm-started placement ILP").  The LP is prepared once
+  per ILP (:class:`~repro.placement.solvers.lp.BoundedLP`), and the first
+  child leaves its inverse of the parent's basis on the parent's
+  :class:`LPResult` for the second child to copy: one inversion per
+  branched node.
 * ``warm_start=False`` — every node is solved from scratch by the dense
   two-phase tableau with bounds materialised as rows.  This is the slow
   oracle used by the equivalence tests and benchmarks.
@@ -39,9 +43,9 @@ import numpy as np
 
 from repro.placement.ilp import ILPProblem
 from repro.placement.solvers.lp import (
+    BoundedLP,
     LPResult,
     LPStatus,
-    solve_bounded_lp,
     solve_lp_dense,
 )
 
@@ -88,7 +92,9 @@ class _NodeSolver:
         self.problem = problem
         self.warm_start = warm_start
         self.lower, self.upper = problem.bounds()
-        if not warm_start:
+        if warm_start:
+            self.lp = BoundedLP(problem.objective, problem.a_ub, problem.b_ub)
+        else:
             self.dense_a, self.dense_b = problem.dense_rows()
         self.lp_pivots = 0
         self.warm_solves = 0
@@ -107,17 +113,13 @@ class _NodeSolver:
         for var, value in fixed.items():
             lower[var] = value
             upper[var] = value
-        if parent is not None and parent.basis is not None:
+        warm = (parent if parent is not None and parent.basis is not None
+                else None)
+        if warm is not None:
             self.warm_solves += 1
-            result = solve_bounded_lp(self.problem.objective, self.problem.a_ub,
-                                      self.problem.b_ub, lower=lower,
-                                      upper=upper, basis=parent.basis,
-                                      at_upper=parent.at_upper)
         else:
             self.cold_solves += 1
-            result = solve_bounded_lp(self.problem.objective, self.problem.a_ub,
-                                      self.problem.b_ub, lower=lower,
-                                      upper=upper)
+        result = self.lp.solve(lower, upper, warm=warm)
         self.lp_pivots += result.iterations
         return result
 

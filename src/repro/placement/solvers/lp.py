@@ -8,7 +8,9 @@ Two engines share the :class:`LPResult` interface:
   branch-and-bound hot path: fixing a binary variable is a *bound change*,
   which leaves the parent's optimal basis dual-feasible, so the dual simplex
   re-optimises a child node in a handful of pivots instead of a full
-  two-phase solve.
+  two-phase solve.  :class:`BoundedLP` is the same engine with the
+  bound-independent set-up prepared once, for callers (branch and bound)
+  that re-solve one LP under many bound sets.
 * :func:`solve_lp_dense` — the original dense two-phase tableau
   (``min c.x  s.t.  A x <= b, x >= 0``), kept as the slow-but-simple oracle
   for equivalence tests.  Bounds must be materialised as explicit rows
@@ -57,6 +59,10 @@ class LPResult:
     at_upper: Optional[np.ndarray] = None
     #: Simplex pivots spent producing this result.
     iterations: int = 0
+    #: ``inv`` of this result's basis columns, left here by the first warm
+    #: start from it; later warm starts from the same result (a branch and
+    #: bound sibling) copy it instead of inverting the same matrix again.
+    basis_inverse: Optional[np.ndarray] = None
 
 
 # =========================================================================== #
@@ -72,25 +78,12 @@ class _BoundedSimplex:
     pivots.
     """
 
-    def __init__(self, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray):
-        m, n = a_ub.shape
+    def __init__(self, lp: "BoundedLP", lower: np.ndarray, upper: np.ndarray):
+        m, n = lp.m, lp.n
         self.m, self.n = m, n
         self.total = n + m
-        # Row equilibration: divide every row (and its RHS) by its inf-norm
-        # so mixed-scale constraint systems (byte-sized McCormick rows next
-        # to cycle-count execution-time rows) pivot stably.  Structural
-        # variable values are unaffected; only slack values are rescaled,
-        # and those are never reported.
-        if m:
-            norms = np.maximum(np.abs(a_ub).max(axis=1), _EPS)
-            a_scaled = a_ub / norms[:, None]
-            self.b = b_ub / norms
-            self.W = np.hstack([a_scaled, np.eye(m)])
-        else:
-            self.b = b_ub.astype(float)
-            self.W = np.zeros((0, n))
-        self.c = np.concatenate([c, np.zeros(m)])
+        # Shared with every other solve of the same LP, never written.
+        self.W, self.b, self.c = lp.W, lp.b, lp.costs
         self.lower = np.concatenate([lower, np.zeros(m)])
         self.upper = np.concatenate([upper, np.full(m, np.inf)])
         self.basis = np.arange(n, self.total, dtype=int)
@@ -117,15 +110,25 @@ class _BoundedSimplex:
         self.at_upper[self.in_basis] = False
         self.Binv = np.eye(self.m)
 
-    def load_basis(self, basis: np.ndarray, at_upper: np.ndarray) -> None:
-        """Adopt a caller-supplied basis (raises ``LinAlgError`` if singular)."""
-        basis = np.asarray(basis, dtype=int)
+    def load_basis(self, warm: LPResult) -> None:
+        """Adopt the basis of *warm*, an earlier result of the same LP.
+
+        The basis inverse is computed on the first warm start from *warm*
+        (raising ``LinAlgError`` if singular) and left on it; later warm
+        starts from *warm* copy it.  Either way the engine starts from the
+        very floats ``inv`` returns for these columns.
+        """
+        basis = np.asarray(warm.basis, dtype=int)
         if basis.shape != (self.m,):
             raise ValueError("warm-start basis has the wrong number of rows")
-        self.Binv = np.linalg.inv(self.W[:, basis])
+        if warm.basis_inverse is None:
+            warm.basis_inverse = np.linalg.inv(self.W[:, basis])
+        self.Binv = warm.basis_inverse.copy()
         self.basis = basis.copy()
         self.in_basis = np.zeros(self.total, dtype=bool)
         self.in_basis[self.basis] = True
+        at_upper = (warm.at_upper if warm.at_upper is not None
+                    else np.zeros(self.total, dtype=bool))
         self.at_upper = np.asarray(at_upper, dtype=bool).copy()
         # A flag can become stale when bounds were edited since it was saved
         # (e.g. an upper bound relaxed to infinity): snap it back to "lower".
@@ -304,6 +307,98 @@ class _BoundedSimplex:
         return LPStatus.ITERATION_LIMIT
 
 
+class BoundedLP:
+    """``min c.x`` s.t. ``a_ub x <= b_ub``, prepared once for many bound sets.
+
+    Everything that depends only on ``(c, a_ub, b_ub)`` is built here: the
+    row-equilibrated ``[A | I]`` slack extension, the scaled right-hand side
+    and the unit-scale objective.  Branch and bound changes only variable
+    bounds from node to node, so it prepares one instance per ILP and calls
+    :meth:`solve` per node.
+    """
+
+    def __init__(self, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray):
+        c = np.asarray(c, dtype=float)
+        n = c.shape[0]
+        a_ub = np.asarray(a_ub, dtype=float)
+        if a_ub.size == 0:
+            a_ub = np.zeros((0, n))
+        b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+        m = a_ub.shape[0]
+        self.c = c
+        self.m, self.n = m, n
+        # Row equilibration: divide every row (and its RHS) by its inf-norm
+        # so mixed-scale constraint systems (byte-sized McCormick rows next
+        # to cycle-count execution-time rows) pivot stably.  Structural
+        # variable values are unaffected; only slack values are rescaled,
+        # and those are never reported.
+        if m:
+            norms = np.maximum(np.abs(a_ub).max(axis=1), _EPS)
+            self.b = b_ub / norms
+            self.W = np.hstack([a_ub / norms[:, None], np.eye(m)])
+        else:
+            self.b = b_ub.astype(float)
+            self.W = np.zeros((0, n))
+        # Normalise the objective so reduced-cost tolerances are scale-free
+        # (the placement objective lives at the ~1e-9 J scale).
+        cost_scale = float(np.max(np.abs(c))) if c.size else 0.0
+        scaled_c = c / cost_scale if cost_scale > 0 else c
+        self.costs = np.concatenate([scaled_c, np.zeros(m)])
+
+    def solve(self, lower: Optional[np.ndarray] = None,
+              upper: Optional[np.ndarray] = None,
+              warm: Optional[LPResult] = None,
+              max_iterations: int = _MAX_ITERATIONS) -> LPResult:
+        """Solve under ``lower <= x <= upper`` (see :func:`solve_bounded_lp`).
+
+        *warm* is an earlier optimal result of this same LP whose basis
+        seeds the dual simplex; its basis inverse is computed once and kept
+        on it for the next warm start from the same result.
+        """
+        n = self.n
+        lower = (np.zeros(n) if lower is None
+                 else np.asarray(lower, dtype=float).copy())
+        upper = (np.full(n, np.inf) if upper is None
+                 else np.asarray(upper, dtype=float).copy())
+        if not np.all(np.isfinite(lower)):
+            raise ValueError("lower bounds must be finite")
+        if np.any(lower > upper + _EPS):
+            return LPResult(LPStatus.INFEASIBLE)
+        upper = np.maximum(upper, lower)
+
+        engine = _BoundedSimplex(self, lower, upper)
+        costs = engine.c
+
+        if warm is not None:
+            try:
+                engine.load_basis(warm)
+            except np.linalg.LinAlgError:
+                warm = None
+        if warm is not None:
+            status = engine.dual(costs, max_iterations)
+        else:
+            engine.slack_basis()
+            if np.any((costs < -_EPS) & ~np.isfinite(engine.upper)):
+                # No dual-feasible starting point exists with these bounds:
+                # run a feasibility-only dual pass (zero costs keep every
+                # basis dual-feasible), then optimise with the primal simplex.
+                status = engine.dual(np.zeros_like(costs), max_iterations)
+                if status is LPStatus.OPTIMAL:
+                    remaining = max(max_iterations - engine.iterations, 1)
+                    status = engine.primal(costs, remaining)
+            else:
+                status = engine.dual(costs, max_iterations)
+
+        if status is not LPStatus.OPTIMAL:
+            return LPResult(status, iterations=engine.iterations)
+        x = engine.solution()
+        values = np.clip(x[:n], lower, upper)
+        return LPResult(LPStatus.OPTIMAL, objective=float(self.c @ values),
+                        values=values, basis=engine.basis.copy(),
+                        at_upper=engine.at_upper.copy(),
+                        iterations=engine.iterations)
+
+
 def solve_bounded_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
                      lower: Optional[np.ndarray] = None,
                      upper: Optional[np.ndarray] = None,
@@ -320,57 +415,10 @@ def solve_bounded_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     has a finite upper bound, otherwise a feasibility-only dual phase
     followed by the primal simplex.
     """
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    a_ub = np.asarray(a_ub, dtype=float)
-    if a_ub.size == 0:
-        a_ub = np.zeros((0, n))
-    b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
-    lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float).copy()
-    upper = (np.full(n, np.inf) if upper is None
-             else np.asarray(upper, dtype=float).copy())
-    if not np.all(np.isfinite(lower)):
-        raise ValueError("lower bounds must be finite")
-    if np.any(lower > upper + _EPS):
-        return LPResult(LPStatus.INFEASIBLE)
-    upper = np.maximum(upper, lower)
-
-    # Normalise the objective so reduced-cost tolerances are scale-free (the
-    # placement objective lives at the ~1e-9 J scale).
-    cost_scale = float(np.max(np.abs(c))) if c.size else 0.0
-    scaled_c = c / cost_scale if cost_scale > 0 else c
-
-    engine = _BoundedSimplex(scaled_c, a_ub, b_ub, lower, upper)
-    costs = engine.c
-
-    if basis is not None:
-        try:
-            engine.load_basis(basis, at_upper if at_upper is not None
-                              else np.zeros(engine.total, dtype=bool))
-        except np.linalg.LinAlgError:
-            basis = None
-    if basis is not None:
-        status = engine.dual(costs, max_iterations)
-    else:
-        engine.slack_basis()
-        if np.any((costs < -_EPS) & ~np.isfinite(engine.upper)):
-            # No dual-feasible starting point exists with these bounds: run a
-            # feasibility-only dual pass (zero costs keep every basis
-            # dual-feasible), then optimise with the primal simplex.
-            status = engine.dual(np.zeros_like(costs), max_iterations)
-            if status is LPStatus.OPTIMAL:
-                remaining = max(max_iterations - engine.iterations, 1)
-                status = engine.primal(costs, remaining)
-        else:
-            status = engine.dual(costs, max_iterations)
-
-    if status is not LPStatus.OPTIMAL:
-        return LPResult(status, iterations=engine.iterations)
-    x = engine.solution()
-    values = np.clip(x[:n], lower, upper)
-    return LPResult(LPStatus.OPTIMAL, objective=float(c @ values), values=values,
-                    basis=engine.basis.copy(), at_upper=engine.at_upper.copy(),
-                    iterations=engine.iterations)
+    warm = (None if basis is None
+            else LPResult(LPStatus.OPTIMAL, basis=basis, at_upper=at_upper))
+    return BoundedLP(c, a_ub, b_ub).solve(lower, upper, warm=warm,
+                                          max_iterations=max_iterations)
 
 
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,

@@ -25,15 +25,17 @@ Three execution strategies share identical observable behaviour:
 
 All paths produce bitwise-identical :class:`SimulationResult` values.  To
 make that hold under batching, energy is accounted uniformly as *event
-counts* per ``(cycles, fetch_region, instr_class, data_region)`` key and
-reduced to a float in one deterministic pass at the end of the run
-(:meth:`Simulator._finish`): identical counts give identical floats no
-matter which path — or what grouping — produced them.
+counts* per ``(cycles, fetch_region, instr_class, data_region)`` key, kept
+on the result, and reduced to a float in one deterministic pass
+(:meth:`SimulationResult.priced`): identical counts give identical floats
+no matter which path — or what grouping — produced them.  Since nothing
+else in a run depends on the energy model, one simulation can be priced
+under any number of energy models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.isa.conditions import Cond, cond_holds
@@ -78,6 +80,28 @@ class SimulationResult:
     time_s: float
     profile: BlockProfile
     cycles_by_section: Dict[str, int] = field(default_factory=dict)
+    #: Retired instructions per ``(cycles, fetch_region, instr_class value,
+    #: data_region)`` key: the integer accounting ``energy_j`` reduces.
+    energy_counts: Dict[Tuple, int] = field(default_factory=dict)
+
+    def priced(self, energy_model: EnergyModel) -> "SimulationResult":
+        """This run with ``energy_j`` and ``time_s`` under *energy_model*.
+
+        The one place a run's energy is reduced: the keys are visited in one
+        fixed order with one multiply-add per key, so identical counts yield
+        bitwise-identical ``energy_j`` whichever execution path (or batching)
+        produced them — integer counts are associative where float sums are
+        not — and pricing a stored run equals simulating under the model.
+        """
+        energy_j = energy_model.energy_j
+        total_energy = 0.0
+        for key in sorted(self.energy_counts,
+                          key=lambda k: (k[0], k[1], k[2], k[3] or "")):
+            cycles, fetch_region, klass_value, data_region = key
+            total_energy += self.energy_counts[key] * energy_j(
+                cycles, fetch_region, InstrClass(klass_value), data_region)
+        return replace(self, energy_j=total_energy,
+                       time_s=self.cycles * energy_model.cycle_time_s)
 
     @property
     def average_power_w(self) -> float:
@@ -196,14 +220,11 @@ class Simulator:
     def _finish(self, total_cycles: int, total_instructions: int,
                 energy_counts: Dict[Tuple, int], profile: BlockProfile,
                 cycles_by_section: Dict[str, int]) -> SimulationResult:
-        """Reduce the energy event counts and assemble the result.
+        """Assemble the result and price it under this simulator's model.
 
         Every execution path accounts energy as integer event counts keyed
-        by ``(cycles, fetch_region, instr_class, data_region)``.  The
-        reduction here visits the keys in one fixed order with one
-        multiply-add per key, so identical counts yield bitwise-identical
-        ``energy_j`` regardless of which path (or what batching) produced
-        them — integer counts are associative where float sums are not.
+        by ``(cycles, fetch_region, instr_class, data_region)``; the result
+        keeps them and :meth:`SimulationResult.priced` reduces them.
 
         Two invariants are asserted before the reduction.  Every execution
         path bumps exactly one energy-event count and one section bucket per
@@ -231,22 +252,16 @@ class Simulator:
             hub.add("sim.runs")
             hub.add("sim.instructions", total_instructions)
             hub.add("sim.cycles", total_cycles)
-        energy_j = self.energy_model.energy_j
-        total_energy = 0.0
-        for key in sorted(energy_counts,
-                          key=lambda k: (k[0], k[1], k[2], k[3] or "")):
-            cycles, fetch_region, klass_value, data_region = key
-            total_energy += energy_counts[key] * energy_j(
-                cycles, fetch_region, InstrClass(klass_value), data_region)
         return SimulationResult(
             return_value=self.registers[0] & _MASK,
             cycles=total_cycles,
             instructions=total_instructions,
-            energy_j=total_energy,
-            time_s=total_cycles * self.energy_model.cycle_time_s,
+            energy_j=0.0,
+            time_s=0.0,
             profile=profile,
             cycles_by_section=cycles_by_section,
-        )
+            energy_counts=energy_counts,
+        ).priced(self.energy_model)
 
     # ------------------------------------------------------------------ #
     # Main loop

@@ -30,8 +30,8 @@ with classic 3-stage fetch/decode/execute accounting:
   applies.
 
 Everything stays integer event counts reduced by
-:meth:`~repro.sim.cpu.Simulator._finish`, so pipelined runs are exactly as
-bitwise-deterministic as flat ones.  The **bitwise-determinism contract** of
+:meth:`~repro.sim.cpu.SimulationResult.priced`, so pipelined runs are
+exactly as bitwise-deterministic as flat ones.  The **bitwise-determinism contract** of
 the flat model is untouched: ``timing_model="flat"`` takes the pre-existing
 execution paths verbatim and produces byte-identical results and stores.
 Pipelined runs side-exit to their own generic decode-once loop
@@ -226,7 +226,7 @@ def run_pipelined(sim, entry: str):
     cycles, so pipelined simulations side-exit to this generic loop instead.
     Energy stays integer event counts keyed
     ``(cycles, fetch_region, instr_class, data_region)`` and is reduced once
-    in :meth:`Simulator._finish`, so results are bitwise deterministic.
+    by :meth:`SimulationResult.priced`, so results are bitwise deterministic.
     """
     timing: TimingSpec = sim.timing
     program = sim.program

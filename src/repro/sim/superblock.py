@@ -41,9 +41,9 @@ Bit-exactness: cycle counts, instruction counts, per-block profile deltas and
 section buckets are integer sums, which batching cannot change.  Energy is
 exact because the simulator accounts energy as *event counts* per
 ``(cycles, fetch_region, instr_class, data_region)`` key and reduces them in
-one deterministic pass at the end of the run (see ``Simulator._finish``) —
-bumping a counter by N for a whole segment is bitwise-identical to bumping
-it N times.  The only observable difference is error *timing*: the runaway
+one deterministic pass (see ``SimulationResult.priced``) — bumping a
+counter by N for a whole segment is bitwise-identical to bumping it N
+times.  The only observable difference is error *timing*: the runaway
 guard (``max_instructions``) is checked per constituent block instead of per
 instruction, so a diverging program may execute up to one superblock
 iteration more before raising the same :class:`SimulationError`.

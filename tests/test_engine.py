@@ -1,5 +1,7 @@
 """Experiment engine tests: cache, grids, result store, decode-once parity."""
 
+import json
+
 import pytest
 
 import repro.engine.cache as cache_module
@@ -13,9 +15,16 @@ from repro.engine import (
     run_record,
 )
 from repro.evaluation.figure5 import evaluate_suite
+from repro.explore import (
+    SweepSpec,
+    cell_record,
+    run_sweep_cells,
+    scaled_energy_model,
+)
 from repro.isa.registers import PC, SP
 from repro.placement import FlashRAMOptimizer, PlacementConfig
 from repro.sim import Simulator
+from repro.transform import apply_placement
 
 #: Small sample of the BEEBS grid used by the regression sweeps.
 SAMPLE_GRID = [("crc32", "O2"), ("crc32", "Os"), ("fdct", "O2"), ("2dfir", "O2")]
@@ -168,6 +177,73 @@ def test_evaluate_suite_through_engine_matches_direct_runs():
     for row in rows:
         assert row.energy_change < 0
         assert row.blocks_moved > 0
+
+
+# --------------------------------------------------------------------------- #
+# Simulation reuse: one simulation per placed program, priced per cell
+# --------------------------------------------------------------------------- #
+#: 16 cells over 4 baselines; the ratio axis never changes what runs, and
+#: X_limits that pick the same RAM set share a placement.
+REUSE_SWEEP = SweepSpec(benchmarks=("crc32", "fdct"), opt_levels=("O2",),
+                        x_limits=(1.05, 1.3), flash_ram_ratios=(1.4, 1.7),
+                        timing_models=("flat", "pipelined"))
+
+
+def canonical(record) -> str:
+    return json.dumps(record, sort_keys=True)
+
+
+def test_sweep_simulates_each_placed_program_once(monkeypatch):
+    cache = ProgramCache()
+    cells = REUSE_SWEEP.cells()
+    simulated = []
+    real_run = Simulator.run
+
+    def counting_run(simulator, *args, **kwargs):
+        simulated.append(simulator.program)
+        return real_run(simulator, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "run", counting_run)
+        runs = run_sweep_cells(cells, ExperimentEngine(cache=cache),
+                               max_workers=1)
+    records = [cell_record(cell, run) for cell, run in zip(cells, runs)]
+
+    # (a) Reuse is invisible: each record equals its cell run alone.
+    for cell, record in zip(cells, records):
+        [alone] = run_sweep_cells([cell], ExperimentEngine(cache=cache),
+                                  max_workers=1)
+        assert canonical(cell_record(cell, alone)) == canonical(record)
+
+    # (b) One simulation per distinct baseline and per distinct placement.
+    baselines, placements = set(), set()
+    for record in records:
+        program = (record["benchmark"], record["opt_level"],
+                   record.get("timing_model", "flat"))
+        baselines.add(program)
+        placements.add(program + (tuple(record["ram_blocks"]),))
+    assert len(simulated) == len(baselines) + len(placements)
+    assert len(simulated) < 2 * len(cells)
+
+    # (c) Pricing a memoised run under another energy model equals
+    # simulating under that model, bitwise.
+    other = scaled_energy_model(1.7)
+    for cell, run in zip(cells, runs):
+        if cell.flash_ram_ratio != 1.4 or cell.spec.x_limit != 1.3:
+            continue
+        name, timing = cell.spec.benchmark, cell.spec.timing_model
+        placed = cache.get_benchmark_mutable(name, "O2")
+        apply_placement(placed, run.solution.ram_blocks)
+        for stored, program in ((run.baseline, cache.get_benchmark(name, "O2")),
+                                (run.optimized, placed)):
+            priced = stored.priced(other)
+            fresh = Simulator(program, energy_model=other,
+                              timing_model=timing).run()
+            assert (priced.energy_j, priced.time_s) == \
+                (fresh.energy_j, fresh.time_s)
+            assert result_tuple(priced) == result_tuple(fresh)
+        # The baseline runs from flash, so the two models really differ.
+        assert run.baseline.priced(other).energy_j != run.baseline.energy_j
 
 
 # --------------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ from repro.placement.ilp import ILPProblem, solution_to_ram_set
 from repro.placement.parameters import BlockParameters
 from repro.placement.solvers.branch_and_bound import ILPResult, solve_ilp
 from repro.placement.solvers.lp import (
+    BoundedLP,
     LPResult,
     LPStatus,
     _remove_artificials,
@@ -276,6 +277,61 @@ def test_warm_and_cold_ilp_pick_identical_ram_sets_on_regression_corpus():
         assert cold.lp_pivots > 0 and warm.lp_pivots > 0
 
 
+#: (nodes_explored, lp_pivots, warm_solves, RAM set) per corpus instance,
+#: as the solver produced them before siblings shared their parent's
+#: basis inverse: the sharing must not move a single pivot.
+_LOOP_RAM = ["main:entry.0", "main:for.body.2", "main:for.body.6",
+             "main:for.cond.1", "main:for.cond.5", "main:for.end.4",
+             "main:for.end.8", "main:for.step.7", "main:if.then.13"]
+PINNED_CORPUS = {
+    (64, 1.1): (23, 400, 44, _LOOP_RAM),
+    (256, 1.3): (1, 11, 0, sorted(_LOOP_RAM + [
+        "main:for.body.10", "main:for.cond.9", "main:for.end.12"])),
+    (4096, 2.0): (1, 11, 0, sorted(_LOOP_RAM + [
+        "main:for.body.10", "main:for.cond.9", "main:for.end.12"])),
+}
+
+
+def test_siblings_share_one_inverse_of_their_parent_basis(monkeypatch):
+    import repro.placement.solvers.branch_and_bound as bb
+    from repro.placement.solvers.lp import _BoundedSimplex
+    counts = {"inv": 0, "refactor": 0, "branched": 0}
+    real_inv = np.linalg.inv
+    real_refactor = _BoundedSimplex._refactor
+    real_branch_var = bb._fractional_branch_var
+
+    def counting_inv(matrix):
+        counts["inv"] += 1
+        return real_inv(matrix)
+
+    def counting_refactor(engine):
+        counts["refactor"] += 1
+        return real_refactor(engine)
+
+    def counting_branch_var(problem, values):
+        var = real_branch_var(problem, values)
+        counts["branched"] += var is not None
+        return var
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(_BoundedSimplex, "_refactor", counting_refactor)
+    monkeypatch.setattr(bb, "_fractional_branch_var", counting_branch_var)
+    model = make_model()
+    for (r_spare, x_limit), pinned in PINNED_CORPUS.items():
+        problem = build_placement_ilp(model, r_spare, x_limit)
+        counts.update(inv=0, refactor=0, branched=0)
+        result = solve_ilp(problem)
+        ram = sorted(solution_to_ram_set(problem, result.values))
+        assert (result.nodes_explored, result.lp_pivots, result.warm_solves,
+                ram) == pinned, (r_spare, x_limit)
+        # Each branched node's two children warm-start from one basis: one
+        # inversion between them (refactorisations aside), not one each.
+        warm_inversions = counts["inv"] - counts["refactor"]
+        assert warm_inversions <= counts["branched"], (r_spare, x_limit)
+        if result.warm_solves:
+            assert warm_inversions < result.warm_solves
+
+
 @pytest.mark.parametrize("kernel", ["crc32", "fdct"])
 def test_warm_and_cold_ilp_agree_on_beebs_kernels(kernel):
     from repro.engine import default_cache
@@ -341,15 +397,14 @@ def test_iteration_limited_child_forfeits_optimality_proof(monkeypatch):
         lower=np.zeros(2),
         upper=np.ones(2),
     )
-    import repro.placement.solvers.branch_and_bound as bb
-    real_solve = bb.solve_bounded_lp
+    real_solve = BoundedLP.solve
 
-    def flaky_solve(c, a_ub, b_ub, lower=None, upper=None, **kwargs):
+    def flaky_solve(lp, lower=None, upper=None, **kwargs):
         if upper is not None and np.asarray(upper)[1] == 0.0:
             return LPResult(LPStatus.ITERATION_LIMIT)
-        return real_solve(c, a_ub, b_ub, lower=lower, upper=upper, **kwargs)
+        return real_solve(lp, lower=lower, upper=upper, **kwargs)
 
-    monkeypatch.setattr(bb, "solve_bounded_lp", flaky_solve)
+    monkeypatch.setattr(BoundedLP, "solve", flaky_solve)
     result = solve_ilp(problem, warm_start=True)
     assert result.unresolved_nodes >= 1
     assert result.status == "feasible"
@@ -358,7 +413,7 @@ def test_iteration_limited_child_forfeits_optimality_proof(monkeypatch):
     # the unresolved subtree — exactly why claiming "optimal" would be wrong.
     assert result.objective == pytest.approx(-1.0)
     # Without interference the same problem is solved to proven optimality.
-    monkeypatch.setattr(bb, "solve_bounded_lp", real_solve)
+    monkeypatch.setattr(BoundedLP, "solve", real_solve)
     clean = solve_ilp(problem, warm_start=True)
     assert clean.status == "optimal" and clean.objective == pytest.approx(-2.0)
     assert clean.unresolved_nodes == 0

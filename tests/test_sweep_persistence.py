@@ -265,13 +265,13 @@ def test_checkpointed_sweep_matches_monolithic_and_resumes(tmp_path,
     crashed.append_journal("sweep", [full[k] for k in keys[:3]],
                            meta=TEST_SWEEP.meta())
     computed = []
-    real_run_spec = EngineClass.run_spec
+    real_run_cell = EngineClass.run_cell
 
-    def counting_run_spec(self, spec):
+    def counting_run_cell(self, spec, energy_model=None):
         computed.append(spec)
-        return real_run_spec(self, spec)
+        return real_run_cell(self, spec, energy_model)
 
-    monkeypatch.setattr(EngineClass, "run_spec", counting_run_spec)
+    monkeypatch.setattr(EngineClass, "run_cell", counting_run_cell)
     summary = execute_sweep(TEST_SWEEP, store=crashed, resume=True,
                             engine=fresh_engine(), max_workers=1)
     assert summary["skipped"] == 3 and summary["computed"] == 1
@@ -398,13 +398,13 @@ def test_resume_runs_only_missing_cells_and_matches_clean_run(
                      meta=TEST_SWEEP.meta())
 
     computed = []
-    real_run_spec = EngineClass.run_spec
+    real_run_cell = EngineClass.run_cell
 
-    def counting_run_spec(self, spec):
+    def counting_run_cell(self, spec, energy_model=None):
         computed.append(spec)
-        return real_run_spec(self, spec)
+        return real_run_cell(self, spec, energy_model)
 
-    monkeypatch.setattr(EngineClass, "run_spec", counting_run_spec)
+    monkeypatch.setattr(EngineClass, "run_cell", counting_run_cell)
     summary = execute_sweep(TEST_SWEEP, store=store, resume=True,
                             engine=fresh_engine(), max_workers=1)
     assert summary["skipped"] == 2 and summary["computed"] == 2
@@ -624,8 +624,8 @@ def test_report_from_store_needs_no_simulation(tmp_path, monolithic,
     mono_store, _ = monolithic
     # Any attempt to run an experiment during reporting is a failure.
     monkeypatch.setattr(
-        EngineClass, "run_spec",
-        lambda self, spec: (_ for _ in ()).throw(
+        EngineClass, "run_cell",
+        lambda self, spec, energy_model=None: (_ for _ in ()).throw(
             AssertionError("report must not simulate")))
     report = report_from_store(mono_store)
     assert report["summary"]["cells"] == TEST_SWEEP.size

@@ -257,8 +257,18 @@ def test_local_sweep_is_byte_identical_with_telemetry(tmp_path, clean_hub):
     assert {"cell", "compile", "placement.solve", "simulate",
             "store.checkpoint"} <= names
     stats = trace_stats(tmp_path / "trace")
-    # One simulation per optimized cell plus the shared cached baseline.
-    assert stats["counters"].get("sim.runs", 0) >= SMALL_SWEEP.size + 1
+    # One simulation per distinct baseline and per distinct placement; every
+    # other simulation a cell needs is priced from the engine's memo.
+    baselines, placements = set(), set()
+    for record in traced.load_keyed("sweep").values():
+        program = (record["benchmark"], record["opt_level"],
+                   record.get("timing_model", "flat"))
+        baselines.add(program)
+        placements.add(program + (tuple(record["ram_blocks"]),))
+    counters = stats["counters"]
+    assert counters.get("sim.runs", 0) == len(baselines) + len(placements)
+    assert (counters.get("sim.runs", 0) + counters.get("sim.reused", 0)
+            == 2 * SMALL_SWEEP.size)
 
 
 def test_distributed_telemetry_sigkill_stays_bitwise(tmp_path, clean_hub):
