@@ -2,7 +2,8 @@
 
 Editable installs work offline (no wheel needed)::
 
-    pip install -e .
+    pip install -e .          # the package and numpy
+    pip install -e ".[test]"  # plus pytest, hypothesis and scipy
 
 which also installs the ``repro-eval`` console entry point for running the
 paper's figures through the experiment engine.
@@ -25,6 +26,9 @@ setup(
     python_requires=">=3.8",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    install_requires=["numpy"],
+    # The tier-1 suite checks the LP and ILP solvers against scipy's HiGHS.
+    extras_require={"test": ["pytest", "hypothesis", "scipy"]},
     entry_points={
         "console_scripts": [
             "repro-eval = repro.cli:main",

@@ -23,8 +23,7 @@ The ``[0, 1]`` boxes live in the problem's ``lower``/``upper`` vectors, not
 in the constraint matrix: the bounded-variable simplex engine handles them
 natively, which keeps the matrix smaller and — crucially for the
 branch-and-bound warm start — lets branching tighten a bound without
-changing the matrix at all.  Engines without native bounds (the dense
-two-phase oracle) materialise them via :meth:`ILPProblem.dense_rows`.
+changing the matrix at all.
 
 Because ``i`` and ``z`` are forced to integral values once every ``r`` is
 integral, the branch-and-bound solver only branches on the ``r`` variables.
@@ -69,32 +68,6 @@ class ILPProblem:
         upper = (np.full(self.num_vars, np.inf) if self.upper is None
                  else np.asarray(self.upper, dtype=float))
         return lower, upper
-
-    def dense_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The constraint system with bounds materialised as ``<=`` rows.
-
-        For engines that only understand ``A x <= b, x >= 0`` (the dense
-        two-phase oracle): every finite upper bound becomes an ``x_j <= u_j``
-        row and every strictly positive lower bound a ``-x_j <= -l_j`` row.
-        """
-        lower, upper = self.bounds()
-        rows = [self.a_ub] if self.a_ub.size else []
-        rhs = [self.b_ub] if self.b_ub.size else []
-        finite_upper = np.where(np.isfinite(upper))[0]
-        if finite_upper.size:
-            upper_rows = np.zeros((finite_upper.size, self.num_vars))
-            upper_rows[np.arange(finite_upper.size), finite_upper] = 1.0
-            rows.append(upper_rows)
-            rhs.append(upper[finite_upper])
-        positive_lower = np.where(lower > 0)[0]
-        if positive_lower.size:
-            lower_rows = np.zeros((positive_lower.size, self.num_vars))
-            lower_rows[np.arange(positive_lower.size), positive_lower] = -1.0
-            rows.append(lower_rows)
-            rhs.append(-lower[positive_lower])
-        if not rows:
-            return np.zeros((0, self.num_vars)), np.zeros(0)
-        return np.vstack(rows), np.concatenate(rhs)
 
 
 def build_placement_ilp(model: PlacementCostModel, r_spare: float,

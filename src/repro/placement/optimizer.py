@@ -49,7 +49,6 @@ class PlacementConfig:
     loop_weight: int = 10
     solver: str = "ilp"          # "ilp" | "greedy" | "exhaustive"
     max_nodes: int = 400
-    warm_start: bool = True      # dual-simplex warm starts in the ILP solver
     stack_reserve: int = 1024
     safety_margin: int = 64
     timing_model: str = "flat"
@@ -187,8 +186,7 @@ class FlashRAMOptimizer:
             solution.solver_status = "exhaustive"
         elif self.config.solver == "ilp":
             problem = build_placement_ilp(model, r_spare, x_limit)
-            result = solve_ilp(problem, max_nodes=self.config.max_nodes,
-                               warm_start=self.config.warm_start)
+            result = solve_ilp(problem, max_nodes=self.config.max_nodes)
             solution.solver_stats = {
                 "nodes_explored": result.nodes_explored,
                 "lp_pivots": result.lp_pivots,

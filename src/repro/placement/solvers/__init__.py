@@ -1,12 +1,6 @@
 """Solvers for the placement problem: LP/ILP from scratch, greedy, exhaustive."""
 
-from repro.placement.solvers.lp import (
-    solve_lp,
-    solve_bounded_lp,
-    solve_lp_dense,
-    LPResult,
-    LPStatus,
-)
+from repro.placement.solvers.lp import BoundedLP, LPResult, LPStatus
 from repro.placement.solvers.branch_and_bound import solve_ilp, ILPResult
 from repro.placement.solvers.greedy import greedy_placement
 from repro.placement.solvers.exhaustive import (
@@ -15,9 +9,7 @@ from repro.placement.solvers.exhaustive import (
 )
 
 __all__ = [
-    "solve_lp",
-    "solve_bounded_lp",
-    "solve_lp_dense",
+    "BoundedLP",
     "LPResult",
     "LPStatus",
     "solve_ilp",

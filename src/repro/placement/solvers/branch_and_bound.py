@@ -6,21 +6,15 @@ and ``z`` variables are forced to integral values by their constraints and
 objective signs.  Best-first search with LP lower bounds keeps the tree small
 (the relaxation of this knapsack-like problem is mostly integral already).
 
-Two LP back ends drive the node relaxations:
-
-* ``warm_start=True`` (default) — branching *tightens a bound* (``r_b`` is
-  fixed by setting ``l = u``), which leaves the constraint matrix and
-  objective untouched.  Reduced costs depend only on those, so the parent's
-  optimal basis stays **dual-feasible** in both children and the bounded
-  revised simplex re-optimises with the dual method in a handful of pivots
-  (see DESIGN.md, "Warm-started placement ILP").  The LP is prepared once
-  per ILP (:class:`~repro.placement.solvers.lp.BoundedLP`), and the first
-  child leaves its inverse of the parent's basis on the parent's
-  :class:`LPResult` for the second child to copy: one inversion per
-  branched node.
-* ``warm_start=False`` — every node is solved from scratch by the dense
-  two-phase tableau with bounds materialised as rows.  This is the slow
-  oracle used by the equivalence tests and benchmarks.
+Branching *tightens a bound* (``r_b`` is fixed by setting ``l = u``), which
+leaves the constraint matrix and objective untouched.  Reduced costs depend
+only on those, so the parent's optimal basis stays **dual-feasible** in both
+children and the bounded revised simplex re-optimises with the dual method in
+a handful of pivots (see DESIGN.md, "Warm-started placement ILP").  The LP is
+prepared once per ILP (:class:`~repro.placement.solvers.lp.BoundedLP`), and
+the first child leaves its inverse of the parent's basis on the parent's
+:class:`LPResult` for the second child to copy: one inversion per branched
+node.  The tests check the chosen RAM sets against scipy's HiGHS ``milp``.
 
 Children inherit ``max(child LP, parent bound)``: fixing one more variable
 can only shrink the feasible region, so a child's true bound is at least the
@@ -42,12 +36,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.placement.ilp import ILPProblem
-from repro.placement.solvers.lp import (
-    BoundedLP,
-    LPResult,
-    LPStatus,
-    solve_lp_dense,
-)
+from repro.placement.solvers.lp import BoundedLP, LPResult, LPStatus
 
 _INTEGRALITY_TOL = 1e-6
 
@@ -65,8 +54,7 @@ class ILPResult:
     lp_pivots: int = 0
     #: LP relaxations re-solved with the dual simplex from a parent basis.
     warm_solves: int = 0
-    #: LP relaxations solved from scratch (the root, and every node when
-    #: ``warm_start=False``).
+    #: LP relaxations solved from scratch (the root).
     cold_solves: int = 0
     #: Children whose LP gave up; each forfeits the optimality proof unless
     #: the incumbent prunes its (parent) bound.
@@ -86,28 +74,17 @@ def _fractional_branch_var(problem: ILPProblem, values: np.ndarray) -> Optional[
 
 
 class _NodeSolver:
-    """Solves node relaxations, warm-starting from the parent when allowed."""
+    """Solves node relaxations, warm-starting from the parent's basis."""
 
-    def __init__(self, problem: ILPProblem, warm_start: bool):
-        self.problem = problem
-        self.warm_start = warm_start
+    def __init__(self, problem: ILPProblem):
         self.lower, self.upper = problem.bounds()
-        if warm_start:
-            self.lp = BoundedLP(problem.objective, problem.a_ub, problem.b_ub)
-        else:
-            self.dense_a, self.dense_b = problem.dense_rows()
+        self.lp = BoundedLP(problem.objective, problem.a_ub, problem.b_ub)
         self.lp_pivots = 0
         self.warm_solves = 0
         self.cold_solves = 0
 
     def solve(self, fixed: Dict[int, float],
               parent: Optional[LPResult]) -> LPResult:
-        if not self.warm_start:
-            self.cold_solves += 1
-            result = solve_lp_dense(self.problem.objective, self.dense_a,
-                                    self.dense_b, fixed=fixed)
-            self.lp_pivots += result.iterations
-            return result
         lower = self.lower.copy()
         upper = self.upper.copy()
         for var, value in fixed.items():
@@ -125,11 +102,10 @@ class _NodeSolver:
 
 
 def solve_ilp(problem: ILPProblem, max_nodes: int = 400,
-              gap_tolerance: float = 1e-9,
-              warm_start: bool = True) -> ILPResult:
+              gap_tolerance: float = 1e-9) -> ILPResult:
     """Solve the placement ILP with best-first branch and bound."""
     counter = itertools.count()
-    solver = _NodeSolver(problem, warm_start)
+    solver = _NodeSolver(problem)
     root = solver.solve({}, None)
     result = ILPResult(status="infeasible")
     if root.status is not LPStatus.OPTIMAL:

@@ -9,21 +9,20 @@ cycle counts with RAM-contention stalls, per-cycle power depending on the
 fetch memory, per-block execution counts and return values for correctness
 checks.
 
-Three execution strategies share identical observable behaviour:
+Two flat execution strategies share identical observable behaviour:
 
-* the **superblock fast path** (default): hot decoded blocks are chained
-  along their observed successor paths into trace-compiled superblocks
+* the **superblock fast path** (default): blocks are lazily lowered to
+  predecoded instruction records (:mod:`repro.sim.decode`) with pre-bound
+  handlers, pre-resolved operands and precomputed cycle/energy metadata,
+  cached on the blocks themselves; hot blocks are then chained along their
+  observed successor paths into trace-compiled superblocks
   (:mod:`repro.sim.superblock`) with batched accounting and side-exit
   guards;
-* the **decode-once path** (``superblocks=False``): blocks are lazily
-  lowered to predecoded instruction records (:mod:`repro.sim.decode`) with
-  pre-bound handlers, pre-resolved operands and precomputed cycle/energy
-  metadata, cached on the blocks themselves;
 * the **interpreted reference path** (``decode_once=False``): the original
   per-instruction dispatch, kept as the bit-exact oracle the regression tests
-  compare the fast paths against.
+  compare the fast path against.
 
-All paths produce bitwise-identical :class:`SimulationResult` values.  To
+Both paths produce bitwise-identical :class:`SimulationResult` values.  To
 make that hold under batching, energy is accounted uniformly as *event
 counts* per ``(cycles, fetch_region, instr_class, data_region)`` key, kept
 on the result, and reduced to a float in one deterministic pass
@@ -40,7 +39,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.isa.conditions import Cond, cond_holds
 from repro.isa.instructions import Imm, InstrClass, MachineInstr, Opcode, RegList, Sym
-from repro.isa.registers import LR, PC, SP, Reg
+from repro.isa.registers import ARG_REGS, LR, PC, SP, Reg
 from repro.isa.timing import RAM_CONTENTION_STALL, cycles_for, instr_class
 from repro.machine.blocks import MachineBlock, MachineFunction
 from repro.machine.program import MachineProgram
@@ -126,27 +125,29 @@ class Simulator:
     """Executes a linked machine program and accounts cycles and energy.
 
     ``timing_model`` selects the cycle-accounting scheme: the default
-    ``"flat"`` keeps the three bit-exact execution paths described in the
+    ``"flat"`` keeps the two bit-exact execution paths described in the
     module docstring; ``"pipelined"`` (optionally with ``+icache[:LxB]``)
     switches to the 3-stage fetch/decode/execute accounting of
-    :mod:`repro.sim.pipeline`.  Pipelined runs always use their own
-    decode-once loop — the ``decode_once``/``superblocks`` flags only pick
-    between the flat paths — because superblocks batch statically
-    precomputed *flat* cycles.
+    :mod:`repro.sim.pipeline`, which always runs its own decode-once loop
+    because superblocks batch statically precomputed *flat* cycles.
+    ``decode_once=False`` selects the flat interpreted oracle, so it is
+    rejected with any other timing model.
     """
 
     def __init__(self, program: MachineProgram,
                  energy_model: Optional[EnergyModel] = None,
                  max_instructions: int = 20_000_000,
                  decode_once: bool = True,
-                 superblocks: bool = True,
                  timing_model: Union[str, TimingSpec] = "flat"):
         self.program = program
         self.energy_model = energy_model or EnergyModel()
         self.max_instructions = max_instructions
         self.decode_once = decode_once
-        self.superblocks = superblocks
         self.timing = TimingSpec.parse(timing_model)
+        if not decode_once and not self.timing.is_flat:
+            raise ValueError(
+                "decode_once=False runs the flat interpreted oracle; it "
+                f"cannot run timing model {self.timing.name!r}")
 
         self.memory = MemorySystem(program.flash, program.ram)
         self._init_data()
@@ -272,8 +273,17 @@ class Simulator:
         if entry not in self.program.functions:
             raise SimulationError(f"entry function {entry!r} not found")
 
+        args = args or []
+        if len(args) > len(ARG_REGS):
+            # Compiled functions take at most len(ARG_REGS) parameters (isel
+            # rejects more), so a further value would land in a register no
+            # callee reads as a parameter.
+            raise SimulationError(
+                f"{len(args)} arguments given; at most {len(ARG_REGS)} fit "
+                f"in the argument registers")
+
         self.registers = [0] * 16
-        for index, value in enumerate(args or []):
+        for index, value in enumerate(args):
             self.registers[index] = value & _MASK
         self.registers[SP.index] = self.program.ram.end
         self.registers[LR.index] = EXIT_TOKEN
@@ -282,136 +292,7 @@ class Simulator:
             return run_pipelined(self, entry)
         if not self.decode_once:
             return self._run_interpreted(entry)
-        if self.superblocks:
-            return self._run_superblocked(entry)
-        return self._run_decoded(entry)
-
-    # ------------------------------------------------------------------ #
-    # Decode-once fast path
-    # ------------------------------------------------------------------ #
-    def _run_decoded(self, entry: str) -> SimulationResult:
-        program = self.program
-        functions = program.functions
-        max_instructions = self.max_instructions
-
-        profile = BlockProfile()
-        total_cycles = 0
-        total_instructions = 0
-        energy_counts: Dict[Tuple, int] = {}
-        counts_get = energy_counts.get
-        cycles_by_section = {"flash": 0, "ram": 0}
-
-        function_name = entry
-        block = functions[entry].entry_block
-        decoded = predecode(program, block)
-        records = decoded.records
-        fetch_region = decoded.fetch_region
-        fetch_is_ram = decoded.fetch_is_ram
-        index = 0
-        pending_cond: Optional[Cond] = None
-        block_cycle_start = 0
-        current_block_key = program.block_key(block)
-
-        while True:
-            if total_instructions > max_instructions:
-                raise SimulationError(
-                    f"instruction limit exceeded ({self.max_instructions}); "
-                    f"likely an infinite loop in {function_name}")
-
-            if index >= len(records):
-                # End of block without explicit control transfer: fall through.
-                profile.record(current_block_key, total_cycles - block_cycle_start)
-                next_name = block.fallthrough
-                if next_name is None:
-                    raise SimulationError(
-                        f"fell off the end of {function_name}/{block.name}")
-                block = functions[function_name].blocks[next_name]
-                decoded = predecode(program, block)
-                records = decoded.records
-                fetch_region = decoded.fetch_region
-                fetch_is_ram = decoded.fetch_is_ram
-                index = 0
-                block_cycle_start = total_cycles
-                current_block_key = program.block_key(block)
-                continue
-
-            record = records[index]
-
-            # --- predication (it blocks) ---------------------------------- #
-            if record.is_it:
-                pending_cond = record.cond
-                total_cycles += 1
-                total_instructions += 1
-                cycles_by_section[fetch_region] += 1
-                key = (1, fetch_region, _ALU_VALUE, None)
-                energy_counts[key] = counts_get(key, 0) + 1
-                index += 1
-                continue
-
-            if record.predicated:
-                condition = record.cond if record.cond is not None else pending_cond
-                if not cond_holds(condition, self.flag_n, self.flag_z,
-                                  self.flag_c, self.flag_v):
-                    total_cycles += 1
-                    total_instructions += 1
-                    cycles_by_section[fetch_region] += 1
-                    key = (1, fetch_region, _ALU_VALUE, None)
-                    energy_counts[key] = counts_get(key, 0) + 1
-                    index += 1
-                    continue
-
-            # --- execute --------------------------------------------------- #
-            data_region, transfer = record.run(self)
-
-            if record.conditional and transfer is None:
-                cycles = record.cycles_not_taken
-            else:
-                cycles = record.cycles_taken
-
-            # RAM bus contention: executing from RAM while touching RAM data.
-            if fetch_is_ram and data_region == "ram" and record.contention:
-                cycles += RAM_CONTENTION_STALL
-
-            total_cycles += cycles
-            total_instructions += 1
-            cycles_by_section[fetch_region] += cycles
-            key = (cycles, fetch_region, record.klass_value, data_region)
-            energy_counts[key] = counts_get(key, 0) + 1
-
-            if transfer is None:
-                index += 1
-                continue
-
-            kind, payload = transfer
-            profile.record(current_block_key, total_cycles - block_cycle_start)
-            block_cycle_start = total_cycles
-
-            if kind == "exit":
-                return self._finish(total_cycles, total_instructions,
-                                    energy_counts, profile, cycles_by_section)
-            if kind == "block":
-                target_function, target_block = payload
-                function_name = target_function
-                block = functions[target_function].blocks[target_block]
-                index = 0
-            elif kind == "call":
-                callee, return_site = payload
-                self.registers[LR.index] = self._intern_return_site(return_site)
-                function_name = callee
-                block = functions[callee].entry_block
-                index = 0
-            elif kind == "return":
-                site_function, site_block, site_index = payload
-                function_name = site_function
-                block = functions[site_function].blocks[site_block]
-                index = site_index
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown transfer kind {kind}")
-            decoded = predecode(program, block)
-            records = decoded.records
-            fetch_region = decoded.fetch_region
-            fetch_is_ram = decoded.fetch_is_ram
-            current_block_key = program.block_key(block)
+        return self._run_superblocked(entry)
 
     # ------------------------------------------------------------------ #
     # Superblock fast path: decode-once plus trace compilation of hot paths
@@ -425,8 +306,7 @@ class Simulator:
         the path execution takes next is recorded and compiled
         (:func:`build_superblock`).  Blocks without superblocks — and block
         tails re-entered mid-block after a call returns — run on the generic
-        decode-once machinery below, which is accounting-identical to
-        :meth:`_run_decoded`.
+        decode-once machinery below, one predecoded record at a time.
         """
         program = self.program
         functions = program.functions
@@ -444,14 +324,14 @@ class Simulator:
         # is hot) and published to the hub once, at finish.
         sb_compiles = 0
         sb_dispatches = 0
-        sb_side_exits = 0
+        sb_instructions = 0
 
         def publish_counters() -> None:
             hub = get_telemetry()
             if hub.enabled:
                 hub.add("sim.superblock.compiles", sb_compiles)
                 hub.add("sim.superblock.dispatches", sb_dispatches)
-                hub.add("sim.superblock.side_exits", sb_side_exits)
+                hub.add("sim.superblock.instructions", sb_instructions)
 
         # Trace recording state: payload list of the trace being recorded
         # (None when idle) plus a membership set for O(1) cycle detection.
@@ -491,18 +371,19 @@ class Simulator:
                         # existing superblock; execution continues inside it.
                         compile_trace(False)
                     sb_dispatches += 1
+                    entered_at = total_instructions
                     kind, target, total_cycles, total_instructions = \
                         execute_superblock(self, sb, superblocks,
                                            total_cycles, total_instructions,
                                            cycles_by_section, energy_counts,
                                            profile, max_instructions)
+                    sb_instructions += total_instructions - entered_at
                     block_cycle_start = total_cycles
                     if kind == "exit":
                         publish_counters()
                         return self._finish(total_cycles, total_instructions,
                                             energy_counts, profile,
                                             cycles_by_section)
-                    sb_side_exits += 1
                     if kind == "block":
                         function_name, target_block = target
                         payload = target
@@ -552,7 +433,7 @@ class Simulator:
                         trace = [payload]
                         trace_set = {payload}
 
-            # ---- generic decode-once execution (mirrors _run_decoded) ---- #
+            # ---- generic decode-once execution ---------------------------- #
             if total_instructions > max_instructions:
                 raise SimulationError(
                     f"instruction limit exceeded ({self.max_instructions}); "

@@ -219,8 +219,9 @@ class TimingSpec:
 def run_pipelined(sim, entry: str):
     """Execute *sim*'s program under the pipelined timing model.
 
-    This is the decode-once loop of :meth:`Simulator._run_decoded` extended
-    with the fetch-overlap window, the direct-mapped icache and the load-use
+    This is the generic decode-once loop of
+    :meth:`Simulator._run_superblocked`, without superblocks, extended with
+    the fetch-overlap window, the direct-mapped icache and the load-use
     hazard described in the module docstring.  It is the **only** execution
     path for pipelined runs: superblocks batch statically-precomputed flat
     cycles, so pipelined simulations side-exit to this generic loop instead.

@@ -57,8 +57,8 @@ them wholesale and the next run re-forms them from fresh observations.
 Superblocks are **flat-timing only**: their batched accounting bakes in the
 flat cycle model, so a simulator constructed with a pipelined
 ``timing_model`` (:mod:`repro.sim.pipeline`) side-exits before this layer —
-``Simulator.run`` dispatches to ``run_pipelined`` ahead of the decode-once
-and superblock paths, and never forms or executes superblocks.
+``Simulator.run`` dispatches to ``run_pipelined`` ahead of the superblock
+path, and never forms or executes superblocks.
 """
 
 from __future__ import annotations

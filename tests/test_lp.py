@@ -1,16 +1,18 @@
-"""Tests for the LP engines: bounded revised simplex vs the dense oracle.
+"""Tests for the LP engine and the branch and bound built on it.
 
-The bounded-variable engine (`solve_bounded_lp`) is fuzzed against the dense
-two-phase tableau (`solve_lp_dense`, the oracle) on randomly generated
-problems, its dual-simplex warm start is checked to agree with cold solves
-after bound tightenings, and the branch-and-bound integration is checked to
-pick bitwise-identical RAM sets warm and cold across the placement
-regression corpus.
+The bounded revised simplex (`BoundedLP`) is fuzzed against scipy's HiGHS LP
+solver (`linprog`) on randomly generated problems, and its dual-simplex warm
+start is checked to agree with cold solves after bound tightenings.  The
+branch and bound is checked to pick the same RAM set as HiGHS's exact MILP
+solver (`milp`) across the placement regression corpus and every BEEBS
+kernel, and each of its answers is certified against the cost model.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+from repro.beebs import BENCHMARK_NAMES
 from repro.codegen import CompileOptions, compile_source
 from repro.placement import (
     FlashRAMOptimizer,
@@ -22,15 +24,7 @@ from repro.placement import (
 from repro.placement.ilp import ILPProblem, solution_to_ram_set
 from repro.placement.parameters import BlockParameters
 from repro.placement.solvers.branch_and_bound import ILPResult, solve_ilp
-from repro.placement.solvers.lp import (
-    BoundedLP,
-    LPResult,
-    LPStatus,
-    _remove_artificials,
-    solve_bounded_lp,
-    solve_lp,
-    solve_lp_dense,
-)
+from repro.placement.solvers.lp import BoundedLP, LPResult, LPStatus
 from repro.sim import EnergyModel
 
 LOOP_SOURCE = """
@@ -56,27 +50,31 @@ def make_model():
     return PlacementCostModel(params, energy.e_flash, energy.e_ram)
 
 
-def materialize_bounds(a, b, lower, upper):
-    """Append ``x <= u`` / ``-x <= -l`` rows for the dense oracle."""
-    n = a.shape[1]
-    rows, rhs = [a], [b]
-    finite = np.where(np.isfinite(upper))[0]
-    if finite.size:
-        block = np.zeros((finite.size, n))
-        block[np.arange(finite.size), finite] = 1.0
-        rows.append(block)
-        rhs.append(upper[finite])
-    positive = np.where(lower > 0)[0]
-    if positive.size:
-        block = np.zeros((positive.size, n))
-        block[np.arange(positive.size), positive] = -1.0
-        rows.append(block)
-        rhs.append(-lower[positive])
-    return np.vstack(rows), np.concatenate(rhs)
+#: linprog's status codes for the outcomes both solvers can report.
+_HIGHS_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE,
+                 3: LPStatus.UNBOUNDED}
+
+
+def highs_ram_set(problem):
+    """The RAM set HiGHS's exact MILP solver picks for *problem*.
+
+    The objective is divided by its largest magnitude first: HiGHS's
+    tolerances are absolute, and the placement objective's coefficients
+    are energies many orders of magnitude below 1 J.
+    """
+    integrality = np.zeros(problem.num_vars)
+    integrality[problem.branch_vars] = 1
+    reference = milp(problem.objective / np.max(np.abs(problem.objective)),
+                     constraints=LinearConstraint(problem.a_ub, -np.inf,
+                                                  problem.b_ub),
+                     integrality=integrality, bounds=Bounds(*problem.bounds()),
+                     options={"mip_rel_gap": 0})
+    assert reference.status == 0, reference.message
+    return set(solution_to_ram_set(problem, reference.x))
 
 
 # --------------------------------------------------------------------------- #
-# Bounded engine vs the dense oracle (fuzz)
+# Bounded engine vs HiGHS (fuzz)
 # --------------------------------------------------------------------------- #
 def test_bounded_engine_matches_dense_oracle_on_random_problems():
     rng = np.random.default_rng(2024)
@@ -96,18 +94,15 @@ def test_bounded_engine_matches_dense_oracle_on_random_problems():
             j = int(rng.integers(n))
             lower[j] = upper[j] = float(np.clip(rng.uniform(0, 1),
                                                 lower[j], upper[j]))
-        mine = solve_bounded_lp(c, a, b, lower=lower, upper=upper)
-        dense_a, dense_b = materialize_bounds(a, b, lower, upper)
-        oracle = solve_lp_dense(c, dense_a, dense_b)
-        if oracle.status is LPStatus.ITERATION_LIMIT:
-            continue
-        # The oracle cannot represent unbounded-below-with-infinite-upper any
-        # differently, so statuses must agree exactly.
-        assert mine.status is oracle.status, trial
-        if oracle.status is LPStatus.OPTIMAL:
+        mine = BoundedLP(c, a, b).solve(lower, upper)
+        oracle = linprog(c, A_ub=a, b_ub=b, bounds=list(zip(lower, upper)),
+                         method="highs")
+        assert oracle.status in _HIGHS_STATUS, (trial, oracle.message)
+        assert mine.status is _HIGHS_STATUS[oracle.status], trial
+        if oracle.status == 0:
             agreements += 1
             assert mine.objective == pytest.approx(
-                oracle.objective, abs=1e-6 * (1.0 + abs(oracle.objective))), trial
+                oracle.fun, abs=1e-6 * (1.0 + abs(oracle.fun))), trial
     assert agreements >= 80  # plenty of the random draws are feasible
 
 
@@ -121,7 +116,8 @@ def test_warm_start_agrees_with_cold_solve_after_bound_tightening():
         a = rng.normal(size=(m, n))
         b = rng.normal(size=m) + 1.0
         upper = rng.uniform(0.5, 3.0, size=n)
-        parent = solve_bounded_lp(c, a, b, upper=upper)
+        lp = BoundedLP(c, a, b)
+        parent = lp.solve(upper=upper)
         if parent.status is not LPStatus.OPTIMAL:
             continue
         assert parent.basis is not None and parent.at_upper is not None
@@ -129,9 +125,8 @@ def test_warm_start_agrees_with_cold_solve_after_bound_tightening():
         lower = np.zeros(n)
         tight_upper = upper.copy()
         lower[j] = tight_upper[j] = 0.0 if rng.random() < 0.5 else upper[j]
-        warm = solve_bounded_lp(c, a, b, lower=lower, upper=tight_upper,
-                                basis=parent.basis, at_upper=parent.at_upper)
-        cold = solve_bounded_lp(c, a, b, lower=lower, upper=tight_upper)
+        warm = lp.solve(lower, tight_upper, warm=parent)
+        cold = lp.solve(lower, tight_upper)
         assert warm.status is cold.status, trial
         if warm.status is LPStatus.OPTIMAL:
             checked += 1
@@ -149,7 +144,7 @@ def test_bounded_engine_solves_textbook_problem_with_native_bounds():
     c = np.array([-3.0, -5.0])
     a = np.array([[3.0, 2.0]])
     b = np.array([18.0])
-    result = solve_bounded_lp(c, a, b, upper=np.array([4.0, 6.0]))
+    result = BoundedLP(c, a, b).solve(upper=np.array([4.0, 6.0]))
     assert result.status is LPStatus.OPTIMAL
     assert result.objective == pytest.approx(-36.0)
     assert result.values[0] == pytest.approx(2.0)
@@ -157,12 +152,11 @@ def test_bounded_engine_solves_textbook_problem_with_native_bounds():
     assert result.basis is not None and result.basis.shape == (1,)
 
 
-def test_solve_lp_fixed_via_bounds_matches_historical_behaviour():
-    c = np.array([1.0, 1.0])
-    a = np.array([[1.0, 1.0]])
-    b = np.array([1.0])
-    assert solve_lp(c, a, b, fixed={0: 1.0, 1: 1.0}).status is LPStatus.INFEASIBLE
-    partial = solve_lp(c, a, b, fixed={0: 0.25})
+def test_fixing_by_equal_bounds_matches_historical_behaviour():
+    lp = BoundedLP(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
+                   np.array([1.0]))
+    assert lp.solve(np.ones(2), np.ones(2)).status is LPStatus.INFEASIBLE
+    partial = lp.solve(np.array([0.25, 0.0]), np.array([0.25, np.inf]))
     assert partial.status is LPStatus.OPTIMAL
     assert partial.values[0] == pytest.approx(0.25)
 
@@ -172,8 +166,8 @@ def test_bounded_engine_reports_iteration_limit():
     c = rng.normal(size=12)
     a = rng.normal(size=(18, 12))
     b = rng.normal(size=18) + 1.0
-    limited = solve_bounded_lp(c, a, b, upper=np.full(12, 2.0),
-                               max_iterations=1)
+    limited = BoundedLP(c, a, b).solve(upper=np.full(12, 2.0),
+                                       max_iterations=1)
     assert limited.status is LPStatus.ITERATION_LIMIT
 
 
@@ -188,23 +182,15 @@ def test_degenerate_cycling_problem_terminates_optimal():
         [0.0, 0.0, 1.0, 0.0],
     ])
     b = np.array([0.0, 0.0, 1.0])
-    dense = solve_lp_dense(c, a, b)
-    assert dense.status is LPStatus.OPTIMAL
-    assert dense.objective == pytest.approx(-0.05)
-    bounded = solve_bounded_lp(c, a, b)
+    bounded = BoundedLP(c, a, b).solve()
     assert bounded.status is LPStatus.OPTIMAL
     assert bounded.objective == pytest.approx(-0.05)
 
 
-# --------------------------------------------------------------------------- #
-# Dense-oracle phase-1 cleanup (redundant rows)
-# --------------------------------------------------------------------------- #
 def test_dense_solver_exact_on_duplicated_constraints():
-    # Regression for the phase-1 artificial cleanup: duplicated >= rows make
-    # the constraint system redundant, which historically could strand an
-    # artificial variable in the basis and corrupt the recovered values via
-    # ``remap.get(b, 0)``.  min x0 + 2 x1 s.t. x0 + x1 >= 2 (three copies),
-    # x0 <= 1.5: optimum sits at x = (1.5, 0.5), objective 2.5.
+    # Duplicated >= rows make the constraint system redundant.  min x0 + 2 x1
+    # s.t. x0 + x1 >= 2 (three copies), x0 <= 1.5: the unique optimum sits at
+    # x = (1.5, 0.5), objective 2.5.
     c = np.array([1.0, 2.0])
     a = np.array([
         [-1.0, -1.0],
@@ -213,68 +199,26 @@ def test_dense_solver_exact_on_duplicated_constraints():
         [1.0, 0.0],
     ])
     b = np.array([-2.0, -2.0, -2.0, 1.5])
-    result = solve_lp_dense(c, a, b)
-    assert result.status is LPStatus.OPTIMAL
-    assert result.objective == pytest.approx(2.5)
-    assert result.values == pytest.approx(np.array([1.5, 0.5]))
-    # And the bounded engine agrees on the duplicated system.
-    bounded = solve_bounded_lp(c, a, b)
+    bounded = BoundedLP(c, a, b).solve()
     assert bounded.status is LPStatus.OPTIMAL
     assert bounded.objective == pytest.approx(2.5)
-
-
-def test_remove_artificials_drops_redundant_row_instead_of_corrupting():
-    # White-box check of the cleanup itself.  Columns: x0 | s0 s1 | a0 | RHS
-    # (1 structural, 2 slacks, 1 artificial).  Row 1 is a fully redundant
-    # row whose artificial is basic and has no nonzero real coefficient, so
-    # no drive-out pivot exists.  The historical ``remap.get(b, 0)`` mapped
-    # its basis entry onto column 0, silently overwriting x0's value with
-    # this row's RHS; the fix drops the row.
-    tableau = np.array([
-        [1.0, 0.5, 0.0, 0.0, 2.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-    ])
-    basis = np.array([0, 3])
-    reduced, new_basis, num_rows = _remove_artificials(
-        tableau, basis, num_free=1, num_slack=2, artificial_cols=[3])
-    assert num_rows == 1
-    assert list(new_basis) == [0]
-    assert reduced.shape == (1, 4)  # artificial column removed, RHS kept
-    assert reduced[0, -1] == pytest.approx(2.0)
-
-
-def test_remove_artificials_still_drives_out_when_possible():
-    # An artificial basic on a row that *does* have a real coefficient must
-    # be pivoted out, not dropped: the row carries information (s1 = 0).
-    tableau = np.array([
-        [1.0, 0.5, 0.0, 0.0, 2.0],
-        [0.0, 0.0, -1.0, 1.0, 0.0],
-    ])
-    basis = np.array([0, 3])
-    reduced, new_basis, num_rows = _remove_artificials(
-        tableau, basis, num_free=1, num_slack=2, artificial_cols=[3])
-    assert num_rows == 2
-    assert list(new_basis) == [0, 2]  # s1 replaced the artificial
+    assert bounded.values == pytest.approx(np.array([1.5, 0.5]))
 
 
 # --------------------------------------------------------------------------- #
-# Branch and bound: warm == cold on the placement corpus
+# Branch and bound vs HiGHS's MILP on the placement corpus
 # --------------------------------------------------------------------------- #
 def test_warm_and_cold_ilp_pick_identical_ram_sets_on_regression_corpus():
     model = make_model()
     for r_spare, x_limit in [(64, 1.1), (256, 1.3), (4096, 2.0)]:
         problem = build_placement_ilp(model, r_spare, x_limit)
-        cold = solve_ilp(problem, warm_start=False)
-        warm = solve_ilp(problem, warm_start=True)
-        assert cold.status == warm.status, (r_spare, x_limit)
-        assert cold.values is not None and warm.values is not None
-        cold_ram = set(solution_to_ram_set(problem, cold.values))
-        warm_ram = set(solution_to_ram_set(problem, warm.values))
-        assert cold_ram == warm_ram, (r_spare, x_limit)
-        assert warm.warm_solves + warm.cold_solves > 0
-        assert cold.warm_solves == 0  # the oracle path never warm-starts
-        # Both engines report real pivot work through the stats plumbing.
-        assert cold.lp_pivots > 0 and warm.lp_pivots > 0
+        result = solve_ilp(problem)
+        assert result.status == "optimal", (r_spare, x_limit)
+        assert (set(solution_to_ram_set(problem, result.values))
+                == highs_ram_set(problem)), (r_spare, x_limit)
+        assert result.warm_solves + result.cold_solves > 0
+        # The solver reports real pivot work through the stats plumbing.
+        assert result.lp_pivots > 0
 
 
 #: (nodes_explored, lp_pivots, warm_solves, RAM set) per corpus instance,
@@ -332,7 +276,7 @@ def test_siblings_share_one_inverse_of_their_parent_basis(monkeypatch):
             assert warm_inversions < result.warm_solves
 
 
-@pytest.mark.parametrize("kernel", ["crc32", "fdct"])
+@pytest.mark.parametrize("kernel", BENCHMARK_NAMES)
 def test_warm_and_cold_ilp_agree_on_beebs_kernels(kernel):
     from repro.engine import default_cache
     program = default_cache().get_benchmark_mutable(kernel, "O2")
@@ -341,11 +285,15 @@ def test_warm_and_cold_ilp_agree_on_beebs_kernels(kernel):
     r_spare = optimizer.derive_r_spare()
     for x_limit in (1.1, 1.5):
         problem = build_placement_ilp(model, r_spare, x_limit)
-        cold = solve_ilp(problem, warm_start=False)
-        warm = solve_ilp(problem, warm_start=True)
-        assert cold.status == warm.status == "optimal", (kernel, x_limit)
-        assert (set(solution_to_ram_set(problem, cold.values))
-                == set(solution_to_ram_set(problem, warm.values))), (kernel, x_limit)
+        result = solve_ilp(problem)
+        assert result.status == "optimal", (kernel, x_limit)
+        ram = set(solution_to_ram_set(problem, result.values))
+        assert ram == highs_ram_set(problem), (kernel, x_limit)
+        # Certify the answer against the cost model itself: the RAM set
+        # meets Eq. 7 and 9, and the ILP objective is the model's energy.
+        assert model.is_feasible(ram, r_spare, x_limit), (kernel, x_limit)
+        assert result.objective + problem.constant == pytest.approx(
+            model.evaluate(ram).energy_j, rel=1e-12), (kernel, x_limit)
 
 
 def test_placement_ilp_carries_native_bounds_not_rows():
@@ -358,9 +306,6 @@ def test_placement_ilp_carries_native_bounds_not_rows():
         nonzero = np.nonzero(row)[0]
         assert not (nonzero.size == 1 and row[nonzero[0]] == 1.0
                     and rhs == 1.0), "bound row leaked into the matrix"
-    # dense_rows() reconstructs them for engines without native bounds.
-    dense_a, dense_b = problem.dense_rows()
-    assert dense_a.shape[0] == problem.a_ub.shape[0] + problem.num_vars
 
 
 def test_library_successor_rows_are_deduplicated():
@@ -405,7 +350,7 @@ def test_iteration_limited_child_forfeits_optimality_proof(monkeypatch):
         return real_solve(lp, lower=lower, upper=upper, **kwargs)
 
     monkeypatch.setattr(BoundedLP, "solve", flaky_solve)
-    result = solve_ilp(problem, warm_start=True)
+    result = solve_ilp(problem)
     assert result.unresolved_nodes >= 1
     assert result.status == "feasible"
     assert not result.optimal
@@ -414,7 +359,7 @@ def test_iteration_limited_child_forfeits_optimality_proof(monkeypatch):
     assert result.objective == pytest.approx(-1.0)
     # Without interference the same problem is solved to proven optimality.
     monkeypatch.setattr(BoundedLP, "solve", real_solve)
-    clean = solve_ilp(problem, warm_start=True)
+    clean = solve_ilp(problem)
     assert clean.status == "optimal" and clean.objective == pytest.approx(-2.0)
     assert clean.unresolved_nodes == 0
 
@@ -424,7 +369,7 @@ def test_optimizer_reports_fallback_empty_when_solver_gives_up(monkeypatch):
     program = compile_source(LOOP_SOURCE, CompileOptions.for_level("O2"))
     optimizer = FlashRAMOptimizer(program)
 
-    def give_up(problem, max_nodes=400, warm_start=True, **kwargs):
+    def give_up(problem, max_nodes=400, **kwargs):
         return ILPResult(status="iteration_limit")
 
     monkeypatch.setattr(optimizer_module, "solve_ilp", give_up)

@@ -114,6 +114,15 @@ def test_flat_run_unchanged_by_timing_plumbing():
     assert repr(implicit.energy_j) == repr(explicit.energy_j)
 
 
+def test_interpreted_oracle_is_flat_only():
+    # decode_once=False means "run the flat oracle": paired with another
+    # timing model it must fail, not quietly run the pipelined loop.
+    program = compile_benchmark(get_benchmark("crc32"), "O2")
+    for model in ("pipelined", "pipelined+icache"):
+        with pytest.raises(ValueError, match="flat interpreted oracle"):
+            Simulator(program, decode_once=False, timing_model=model)
+
+
 def test_hazard_metadata_present_on_decoded_stream():
     from repro.isa.instructions import Opcode
     from repro.isa.timing import load_dest, registers_read

@@ -16,11 +16,11 @@ from repro.placement import (
 from repro.placement.ilp import solution_to_ram_set
 from repro.placement.parameters import BlockParameters
 from repro.placement.solvers import (
+    BoundedLP,
     enumerate_placements,
     exhaustive_best_placement,
     greedy_placement,
     solve_ilp,
-    solve_lp,
 )
 from repro.placement.solvers.lp import LPStatus
 from repro.sim import EnergyModel, Simulator
@@ -170,7 +170,7 @@ def test_lp_solves_textbook_problem():
     c = np.array([-3.0, -5.0])
     a = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
     b = np.array([4.0, 12.0, 18.0])
-    result = solve_lp(c, a, b)
+    result = BoundedLP(c, a, b).solve()
     assert result.status is LPStatus.OPTIMAL
     assert result.objective == pytest.approx(-36.0)
     assert result.values[0] == pytest.approx(2.0)
@@ -181,7 +181,7 @@ def test_lp_detects_infeasibility_with_fixed_variables():
     c = np.array([1.0, 1.0])
     a = np.array([[1.0, 1.0]])
     b = np.array([1.0])
-    result = solve_lp(c, a, b, fixed={0: 1.0, 1: 1.0})
+    result = BoundedLP(c, a, b).solve(np.ones(2), np.ones(2))
     assert result.status is LPStatus.INFEASIBLE
 
 
@@ -196,7 +196,7 @@ def test_lp_matches_scipy_on_random_problems():
         b = rng.normal(size=m) + 1.0
         a_full = np.vstack([a, np.eye(n)])
         b_full = np.concatenate([b, np.full(n, 5.0)])
-        mine = solve_lp(c, a_full, b_full)
+        mine = BoundedLP(c, a_full, b_full).solve()
         reference = linprog(c, A_ub=a_full, b_ub=b_full, bounds=(0, None),
                             method="highs")
         if reference.status == 2:

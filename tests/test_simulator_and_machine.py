@@ -132,6 +132,19 @@ def test_simulator_entry_arguments():
     assert result.signed_return_value == 42
 
 
+def test_simulator_rejects_more_arguments_than_argument_registers():
+    from repro.sim import SimulationError
+    program = compile_source(
+        "int add4(int a, int b, int c, int d) { return a + b + c + d; } "
+        "int main(void) { return add4(1, 2, 3, 4); }",
+        CompileOptions.for_level("O2"))
+    result = Simulator(program).run(entry="add4", args=[1, 2, 3, 4])
+    assert result.return_value == 10
+    # A fifth value would land in r4, which no callee reads as a parameter.
+    with pytest.raises(SimulationError, match="argument registers"):
+        Simulator(program).run(entry="add4", args=[1, 2, 3, 4, 100])
+
+
 def test_simulator_unknown_entry_raises():
     from repro.sim import SimulationError
     program = compile_source("int main(void) { return 0; }",

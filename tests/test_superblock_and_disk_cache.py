@@ -1,11 +1,11 @@
 """Tests for trace-compiled superblocks and the persistent disk cache.
 
 Superblocks are a pure performance feature: every result a
-:class:`~repro.sim.Simulator` produces with them enabled must be *bitwise*
-identical to the decode-once path and to the interpreted oracle.  The disk
-cache likewise must be invisible except for speed — corrupt, truncated or
-stale entries are rejected loudly and recompiled, never deserialised into
-wrong programs.
+:class:`~repro.sim.Simulator` produces with them must be *bitwise* identical
+to the interpreted oracle, whether the superblocks are compiled during the
+run or reused from an earlier one.  The disk cache likewise must be
+invisible except for speed — corrupt, truncated or stale entries are
+rejected loudly and recompiled, never deserialised into wrong programs.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ def result_fields(result):
 def test_superblock_three_way_bitwise_parity(name, level):
     program = compile_benchmark(name, level)
     interpreted = Simulator(program, decode_once=False).run()
-    decoded = Simulator(program, superblocks=False).run()
     cold = Simulator(program).run()          # compiles superblocks
     warm = Simulator(program).run()          # reuses them via the program
 
@@ -80,7 +79,6 @@ def test_superblock_three_way_bitwise_parity(name, level):
     assert superblocks, f"{name}/{level}: no superblock ever formed"
 
     expected = result_fields(interpreted)
-    assert result_fields(decoded) == expected
     assert result_fields(cold) == expected
     assert result_fields(warm) == expected
 
@@ -109,7 +107,7 @@ def test_superblocks_invalidated_by_relayout():
     # never ran superblocked before the re-layout.
     control = compile_benchmark("crc32", "O2")
     apply_placement(control, eligible)
-    control_result = Simulator(control, superblocks=False).run()
+    control_result = Simulator(control, decode_once=False).run()
     assert result_fields(after) == result_fields(control_result)
 
 
@@ -299,7 +297,7 @@ def test_get_mutable_snapshot_copies_are_isolated(tmp_path):
     source, options = benchmark_key("crc32", "O2")
     cache = ProgramCache(cache_dir=str(tmp_path))
     pristine = cache.get(source, options)
-    expected = result_fields(Simulator(pristine, superblocks=False).run())
+    expected = result_fields(Simulator(pristine, decode_once=False).run())
 
     copy_a = cache.get_mutable(source, options)
     copy_b = cache.get_mutable(source, options)
@@ -314,6 +312,6 @@ def test_get_mutable_snapshot_copies_are_isolated(tmp_path):
     assert moved.section == "ram"
     assert copy_b.find_block(eligible[0]).section != "ram"
     assert pristine.find_block(eligible[0]).section != "ram"
-    assert result_fields(Simulator(copy_b, superblocks=False).run()) == expected
-    assert (result_fields(Simulator(copy_a, superblocks=False).run())[0]
+    assert result_fields(Simulator(copy_b, decode_once=False).run()) == expected
+    assert (result_fields(Simulator(copy_a, decode_once=False).run())[0]
             == expected[0])

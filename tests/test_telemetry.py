@@ -269,6 +269,10 @@ def test_local_sweep_is_byte_identical_with_telemetry(tmp_path, clean_hub):
     assert counters.get("sim.runs", 0) == len(baselines) + len(placements)
     assert (counters.get("sim.runs", 0) + counters.get("sim.reused", 0)
             == 2 * SMALL_SWEEP.size)
+    # Superblock coverage: instructions retired inside superblocks are a
+    # non-empty part of all instructions retired.
+    assert (0 < counters.get("sim.superblock.instructions", 0)
+            <= counters["sim.instructions"])
 
 
 def test_distributed_telemetry_sigkill_stays_bitwise(tmp_path, clean_hub):
