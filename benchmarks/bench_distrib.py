@@ -4,8 +4,8 @@ One straggler scenario, recorded to ``BENCH_distrib.json``: a two-worker
 fleet in which one worker sleeps ``throttle`` seconds per cell (a
 manufactured straggler).  Under the PR 3 static ``--shard i/N`` partition
 the straggler would own half the cells, so its *sleep time alone* bounds a
-static run from below at ``ceil(cells/2) * throttle``.  The distributed
-coordinator instead leases batch-by-batch, so the fast worker absorbs
+static run from below at ``ceil(cells/2) * throttle``.  The sweep service
+instead leases batch-by-batch, so the fast worker absorbs
 almost everything and the run finishes in roughly one straggler cell plus
 the fast worker's compute.
 

@@ -1,23 +1,22 @@
-"""Perf smoke bench: adaptive lease tails vs fixed batches, bitwise.
+"""Perf smoke bench: adaptive lease tails vs the fixed-batch bound, bitwise.
 
 One straggler scenario, recorded to ``BENCH_service.json``: a two-worker
 fleet in which one worker sleeps ``throttle`` seconds per cell, driven
 through the multi-sweep service (``execute_sweep_distributed`` hosts the
-sweep on a private :class:`repro.distrib.SweepService`).  Under **fixed**
-batching the straggler parks one full ``batch_size`` lease, so its *sleep
-time alone* bounds a fixed run from below at ``batch_size * throttle``.
-Under the **adaptive** tail policy (`adaptive_batch`) the cut shrinks
-with the remaining-work/fleet ratio, so the straggler never parks more
-than a sliver of the sweep and the fast worker absorbs the rest.
+sweep on a private :class:`repro.distrib.SweepService`).  Had every lease
+been a fixed ``batch_size`` cut, the straggler would park one full lease,
+so its *sleep time alone* would bound the run from below at
+``batch_size * throttle``.  The service's adaptive tail policy
+(`adaptive_batch`) shrinks the cut with the remaining-work/fleet ratio
+instead, so the straggler never parks more than a sliver of the sweep and
+the fast worker absorbs the rest.
 
 Recorded ``speedup`` is ``fixed_lower_bound / adaptive_wall`` — dividing
 a *measured* adaptive wall into an *analytic* sleep-only bound makes the
 ratio conservative (a real fixed run also pays compute) and stable across
-runner generations; that is the leaf ``check_bench.py`` gates.  A real
-fixed-batch run is also measured and recorded
-(``fixed_s``, ``fixed_over_adaptive``) as the honest end-to-end
-comparison.  The bench further asserts both distributed stores are
-**bitwise identical** to a monolithic ``execute_sweep`` of the same spec.
+runner generations; that is the leaf ``check_bench.py`` gates.  The bench
+further asserts the distributed store is **bitwise identical** to a
+monolithic ``execute_sweep`` of the same spec.
 
 Run with::
 
@@ -61,31 +60,23 @@ def bench_adaptive_tail(root: Path) -> dict:
     per_cell = mono_s / SWEEP.size
 
     # throttle >> spawn + total compute, so the straggler's parked batch
-    # dominates every other cost of a fixed-batch run.
+    # would dominate every other cost of a fixed-batch run.
     throttle = max(2.0, 4 * per_cell + 3.0)
     fixed_lower_bound = BATCH * throttle
     # With this sweep the adaptive policy starts at the tail already:
     first_cut = adaptive_batch(SWEEP.size, fleet=FLEET, max_batch=BATCH)
 
-    def fleet_run(label: str, adaptive: bool) -> tuple:
-        store = ResultStore(root / label)
-        start = time.perf_counter()
-        summary = execute_sweep_distributed(
-            SWEEP, store=store, workers=FLEET, batch_size=BATCH,
-            adaptive=adaptive,
-            worker_options=[{"name": "slow", "throttle": throttle},
-                            {"name": "fast"}])
-        wall = time.perf_counter() - start
-        bitwise = (store.path_for("sweep").read_bytes()
-                   == mono.path_for("sweep").read_bytes())
-        assert bitwise, f"{label} store differs from the monolithic run"
-        counts = summary["distrib"]["cells_by_worker"]
-        slow = sum(count for worker, count in counts.items()
-                   if worker.startswith("slow"))
-        return wall, slow, bitwise
-
-    adaptive_s, slow_adaptive, bitwise_adaptive = fleet_run("adaptive", True)
-    fixed_s, slow_fixed, bitwise_fixed = fleet_run("fixed", False)
+    store = ResultStore(root / "adaptive")
+    start = time.perf_counter()
+    summary = execute_sweep_distributed(
+        SWEEP, store=store, workers=FLEET, batch_size=BATCH,
+        worker_options=[{"name": "slow", "throttle": throttle},
+                        {"name": "fast"}])
+    adaptive_s = time.perf_counter() - start
+    bitwise = (store.path_for("sweep").read_bytes()
+               == mono.path_for("sweep").read_bytes())
+    assert bitwise, "the service-hosted store differs from the monolithic run"
+    counts = summary["distrib"]["cells_by_worker"]
 
     record = {
         "cells": SWEEP.size,
@@ -94,20 +85,18 @@ def bench_adaptive_tail(root: Path) -> dict:
         "batch_size": BATCH,
         "adaptive_first_cut": first_cut,
         "fixed_lower_bound_s": fixed_lower_bound,
-        "fixed_s": fixed_s,
         "adaptive_s": adaptive_s,
         "speedup": fixed_lower_bound / adaptive_s,
-        "fixed_over_adaptive": fixed_s / adaptive_s,
-        "straggler_cells_adaptive": slow_adaptive,
-        "straggler_cells_fixed": slow_fixed,
-        "bitwise_identical_adaptive": bitwise_adaptive,
-        "bitwise_identical_fixed": bitwise_fixed,
+        "straggler_cells_adaptive": sum(
+            count for worker, count in counts.items()
+            if worker.startswith("slow")),
+        "bitwise_identical_adaptive": bitwise,
     }
-    print_table("adaptive tails vs fixed batches (1 straggler of 2 workers)",
+    print_table("adaptive tails vs the fixed-batch sleep-only bound "
+                "(1 straggler of 2 workers)",
                 [record],
                 ["cells", "throttle_s_per_cell", "fixed_lower_bound_s",
-                 "fixed_s", "adaptive_s", "speedup", "fixed_over_adaptive",
-                 "straggler_cells_adaptive", "straggler_cells_fixed"])
+                 "adaptive_s", "speedup", "straggler_cells_adaptive"])
     assert record["speedup"] >= SPEEDUP_FLOOR, (
         f"adaptive tail speedup {record['speedup']:.2f}x over the fixed-batch "
         f"sleep-only bound is below the {SPEEDUP_FLOOR}x floor")

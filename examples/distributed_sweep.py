@@ -1,10 +1,10 @@
-"""Distributed sweep: coordinator + two workers, one killed mid-lease.
+"""Distributed sweep: a sweep service + two workers, one killed mid-lease.
 
 End-to-end demonstration of the ``repro.distrib`` subsystem — and the
 in-process half of CI's distributed smoke job:
 
-1. a :class:`SweepCoordinator` serves a 9-cell Figure 5/6-style sweep with
-   small dynamic batches and journal checkpoints;
+1. a :class:`SweepService` that drains when idle serves a 9-cell Figure
+   5/6-style sweep with small dynamic batches and journal checkpoints;
 2. two spawned workers connect; one (the "victim") is SIGKILLed while it
    holds a lease, so its batch is re-queued and finished by the survivor;
 3. the resulting store is compared **byte for byte** against a monolithic
@@ -24,7 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.distrib import SweepCoordinator, worker_process_entry
+from repro.distrib import SweepService, worker_process_entry
 from repro.engine import ExperimentEngine, ProgramCache, ResultStore
 from repro.explore import SweepSpec, execute_sweep, report_from_store
 
@@ -35,19 +35,20 @@ def main() -> int:
                       x_limits=(1.1, 1.5, 2.0))
 
     store = ResultStore(out / "distributed")
-    coordinator = SweepCoordinator(sweep, store=store, batch_size=2,
-                                   checkpoint_every=4, progress=True)
-    coordinator.start()
-    print(f"coordinator on 127.0.0.1:{coordinator.port} "
-          f"({sweep.size} cells, batches of 2)")
+    service = SweepService(store=store, checkpoint_every=4,
+                           drain_when_idle=True, progress=True)
+    service.submit(sweep, "sweep", batch_size=2)
+    service.start()
+    print(f"service on 127.0.0.1:{service.port} "
+          f"({sweep.size} cells, batches of at most 2)")
 
-    # Spawn, not fork: the coordinator runs server threads in this process.
+    # Spawn, not fork: the service runs server threads in this process.
     context = multiprocessing.get_context("spawn")
 
     def spawn(**kwargs):
         process = context.Process(
             target=worker_process_entry,
-            args=(coordinator.host, coordinator.port),
+            args=(service.host, service.port),
             kwargs=kwargs, daemon=True)
         process.start()
         return process
@@ -57,16 +58,23 @@ def main() -> int:
     victim = spawn(name="victim", throttle=2.0)
     steady = spawn(name="steady")
 
-    deadline = time.monotonic() + 120.0
-    while coordinator.stats()["leases"] < 2:
-        if time.monotonic() > deadline:
-            print("workers never took their leases", file=sys.stderr)
-            return 1
-        time.sleep(0.05)
-    victim.kill()
-    print("killed the victim worker mid-lease; its batch will be re-leased")
+    try:
+        deadline = time.monotonic() + 120.0
+        while service.job_stats("sweep")["leases"] < 2:
+            if time.monotonic() > deadline:
+                print("workers never took their leases", file=sys.stderr)
+                return 1
+            time.sleep(0.05)
+        victim.kill()
+        print("killed the victim worker mid-lease; its batch will be "
+              "re-leased")
 
-    summary = coordinator.run(timeout=600.0)
+        if not service.wait("sweep", timeout=600.0):
+            print("sweep did not complete within 600 s", file=sys.stderr)
+            return 1
+        summary = service.summary("sweep")
+    finally:
+        service.shutdown()
     victim.join(timeout=10.0)
     steady.join(timeout=60.0)
     stats = summary["distrib"]

@@ -28,37 +28,30 @@ tables, frontier sizes) from a merged store without re-simulating::
 An interrupted sweep restarts with ``--resume`` (only missing cells are
 re-simulated; ``--recheck K`` re-verifies K stored cells bitwise first).
 
-``coordinate`` / ``work`` run a sweep as a *dynamically load-balanced
-fleet* (`repro.distrib`): the coordinator leases batches of cell keys to
-however many workers connect, re-leases batches from dead workers, and
-streams checkpoints into the store — the final store is byte-identical to
-a monolithic ``explore`` run of the same axes::
-
-    repro-eval coordinate --benchmarks crc32 fdct 2dfir --x-limits 1.1 1.5 \
-        --port 7399 --output swept --progress &
-    repro-eval work --port 7399 &          # as many as you have cores/machines
-    repro-eval work --port 7399 &
-
-``explore --distributed N`` is the one-machine shorthand (coordinator plus
-N spawned local workers); ``--progress`` prints live cells/s + ETA to
-stderr on any path.
-
-``serve`` / ``submit`` / ``status`` / ``cancel`` run the *multi-sweep
-service* (`repro.distrib.service`): one long-lived process hosts many
-named sweeps concurrently — per-sweep queues, stores and checkpoints,
-integer ``--priority`` weights under weighted-fair lease scheduling,
-adaptive lease batches that shrink as each queue drains, and graceful
-cancellation (in-flight leases drain, the partial store stays mergeable).
-The same sweep-agnostic ``work`` fleet serves every tenant::
+``serve`` / ``submit`` / ``work`` / ``status`` / ``cancel`` run sweeps on
+a *dynamically load-balanced fleet* (`repro.distrib`): one long-lived
+service hosts many named sweeps concurrently — per-sweep queues, stores
+and checkpoints, integer ``--priority`` weights under weighted-fair lease
+scheduling, lease batches that shrink as each queue drains, re-leasing
+from dead workers, and graceful cancellation (in-flight leases drain, the
+partial store stays mergeable).  However many sweep-agnostic ``work``
+processes connect, every completed store is byte-identical to a
+monolithic ``explore`` run of the same axes::
 
     repro-eval serve --port 7399 --output stores --progress &
-    repro-eval work --port 7399 &          # one fleet, all sweeps
+    repro-eval work --port 7399 &          # as many as you have cores/machines
+    repro-eval work --port 7399 &
     repro-eval submit --benchmarks crc32 fdct --x-limits 1.1 1.5 \
         --name grid-a --priority 3 --port 7399
     repro-eval submit --benchmarks 2dfir --x-limits 2.0 \
         --name grid-b --port 7399 --wait
     repro-eval status --port 7399          # per-sweep counts, cells/s, ETA
     repro-eval cancel grid-a --port 7399
+
+``serve --drain`` exits once every submitted sweep is terminal, and
+``explore --distributed N`` is the one-machine shorthand (a draining
+service plus N spawned local workers); ``--progress`` prints live cells/s
++ ETA to stderr on any path.
 
 ``analyze`` is the static-analysis gate: it lints every requested benchmark
 × optimization level with :mod:`repro.analysis.verifier` (pristine and
@@ -71,10 +64,10 @@ exiting non-zero if there are any::
     repro-eval analyze --lint --levels O2    # lint only, one level
 
 ``--telemetry DIR`` (any subcommand) streams span/counter events from every
-process — coordinator, workers, pool children — into ``DIR`` as JSON lines
+process — service, workers, pool children — into ``DIR`` as JSON lines
 (:mod:`repro.telemetry`); results are byte-identical with or without it.
 ``stats`` reduces such a trace directory into a per-phase wall-clock
-breakdown, and ``metrics`` scrapes a live coordinator's Prometheus text
+breakdown, and ``metrics`` scrapes a live service's Prometheus text
 without joining the fleet::
 
     repro-eval explore --benchmarks crc32 --telemetry trace/ --output out
@@ -94,7 +87,7 @@ from repro.engine import ExperimentEngine, ResultStore, default_engine
 from repro.placement.parameters import FREQUENCY_MODES
 
 FIGURES = ["figure1", "figure2", "figure5", "figure6", "figure9", "case-study",
-           "explore", "merge", "report", "coordinate", "work", "analyze",
+           "explore", "merge", "report", "work", "analyze",
            "metrics", "stats", "serve", "submit", "status", "cancel"]
 
 #: Every optimization level the compiler driver accepts, in pipeline order.
@@ -151,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "pipelined, pipelined+icache or "
                              "pipelined+icache:LxB (default: flat)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="process fan-out for grids (default: cpu count)")
+                        help="in-process fan-out for grids (default: cpu "
+                             "count; not for work, which is sequential)")
     parser.add_argument("--output", default=None, metavar="DIR",
                         help="directory to persist JSON records into "
                              "(submit: on the service host; defaults to "
@@ -184,21 +178,25 @@ def _build_parser() -> argparse.ArgumentParser:
                              "cells (O(batch) per checkpoint), so --resume "
                              "restarts from the last checkpoint")
     parser.add_argument("--distributed", type=int, default=None, metavar="N",
-                        help="explore: run through a local coordinator with "
-                             "N spawned worker processes (dynamic batch "
-                             "leasing instead of the in-process pool)")
+                        help="explore: run through a local sweep service "
+                             "with N spawned worker processes (dynamic "
+                             "batch leasing instead of the in-process pool)")
     parser.add_argument("--host", default="127.0.0.1", metavar="HOST",
-                        help="coordinate: address to bind / work: "
-                             "coordinator address (default 127.0.0.1)")
+                        help="serve: address to bind / work, submit, status, "
+                             "cancel, metrics: service address "
+                             "(default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=None, metavar="PORT",
-                        help="coordinate: port to bind (0 = ephemeral, "
-                             "printed to stderr) / work: coordinator port")
+                        help="serve: port to bind (0 = ephemeral, printed "
+                             "to stderr) / other verbs: service port")
     parser.add_argument("--batch-size", type=int, default=None, metavar="B",
-                        help="coordinate: cells per lease (default 4)")
+                        help="submit, explore --distributed: most cells per "
+                             "lease; leases shrink as the queue drains "
+                             "(default 4)")
     parser.add_argument("--lease-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="coordinate: re-lease a batch whose worker has "
-                             "not heartbeat for this long (default 60)")
+                        help="serve, explore --distributed: re-lease a "
+                             "batch whose worker has not heartbeat for this "
+                             "long (default 60)")
     parser.add_argument("--throttle", type=float, default=0.0,
                         metavar="SECONDS",
                         help="work: artificial delay per executed cell "
@@ -215,11 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="serve: exit once every submitted sweep is "
                              "terminal (workers are released with 'done'); "
                              "default is to keep serving for later submits")
-    parser.add_argument("--fixed-batches", action="store_true",
-                        help="pin every lease to the full --batch-size cut "
-                             "instead of the adaptive shrinking tail "
-                             "(explore --distributed, coordinate, submit; "
-                             "mainly for benchmarking the adaptive policy)")
     parser.add_argument("--telemetry", default=None, metavar="DIR",
                         help="write span/counter telemetry events (JSON "
                              "lines, one file per process) into DIR; "
@@ -234,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_from_args(args):
-    """The SweepSpec an ``explore``/``coordinate`` invocation describes."""
+    """The SweepSpec an ``explore``/``submit`` invocation describes."""
     from repro.evaluation.exploration import DEFAULT_RATIOS, DEFAULT_X_LIMITS
     from repro.explore import SweepSpec
     ratios = (DEFAULT_RATIOS if args.flash_ram_ratios is None
@@ -311,8 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.telemetry:
         from repro.telemetry import configure_telemetry
-        role = {"coordinate": "coordinator", "work": "worker",
-                "serve": "service"}.get(args.figure, "main")
+        role = {"work": "worker", "serve": "service"}.get(args.figure, "main")
         configure_telemetry(args.telemetry, role=role)
     if args.workers is None and args.cache_dir is None:
         engine = default_engine()
@@ -370,14 +362,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "run it in-process first")
         if args.distributed is not None and args.workers is not None:
             parser.error("--workers configures the in-process pool; with "
-                         "--distributed N the fleet size is N (use "
-                         "'work --workers' for per-worker pools)")
+                         "--distributed N the fleet size is N")
         if args.distributed is None and (args.batch_size is not None
-                                         or args.lease_timeout is not None
-                                         or args.fixed_batches):
-            parser.error("--batch-size/--lease-timeout/--fixed-batches tune "
-                         "the lease protocol; they require --distributed "
-                         "(or the coordinate subcommand)")
+                                         or args.lease_timeout is not None):
+            parser.error("--batch-size/--lease-timeout tune the lease "
+                         "protocol; they require --distributed (or "
+                         "serve/submit)")
         store = ResultStore(args.output) if args.output else None
         if args.distributed is not None:
             summary = execute_sweep(
@@ -387,8 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 checkpoint_every=args.checkpoint_every,
                 batch_size=args.batch_size,
                 lease_timeout=args.lease_timeout,
-                cache_dir=args.cache_dir,
-                adaptive=not args.fixed_batches)
+                cache_dir=args.cache_dir)
         else:
             summary = execute_sweep(
                 sweep, store=store, name=args.name, shard=shard,
@@ -402,47 +391,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                        "records": summary["records"]}, sys.stdout, indent=2)
             print()
 
-    elif args.figure == "coordinate":
-        from repro.distrib import DEFAULT_BATCH_SIZE, DEFAULT_CHECKPOINT_EVERY
-        from repro.distrib import DEFAULT_LEASE_TIMEOUT, SweepCoordinator
-        sweep = _sweep_from_args(args)
-        shard = _parse_shard_arg(args, parser)
-        if args.resume and not args.output:
-            parser.error("--resume requires --output (the store to resume)")
-        store = ResultStore(args.output) if args.output else None
-        coordinator = SweepCoordinator(
-            sweep, store=store, name=args.name,
-            host=args.host, port=args.port or 0,
-            shard=shard, resume=args.resume,
-            batch_size=(DEFAULT_BATCH_SIZE if args.batch_size is None
-                        else args.batch_size),
-            lease_timeout=(DEFAULT_LEASE_TIMEOUT if args.lease_timeout is None
-                           else args.lease_timeout),
-            checkpoint_every=(DEFAULT_CHECKPOINT_EVERY
-                              if args.checkpoint_every is None
-                              else args.checkpoint_every),
-            progress=args.progress,
-            adaptive=not args.fixed_batches)
-        coordinator.start()
-        print(f"coordinator listening on {args.host}:{coordinator.port} "
-              f"({coordinator.stats()['pending']} cells to lease)",
-              file=sys.stderr, flush=True)
-        summary = coordinator.run()
-        if store is not None:
-            _print_sweep_summary(summary)
-        else:
-            json.dump({"meta": summary["meta"],
-                       "records": summary["records"]}, sys.stdout, indent=2)
-            print()
-
     elif args.figure == "work":
         from repro.distrib import run_worker
         from repro.distrib.worker import format_worker_stats
+        if args.workers is not None:
+            parser.error("work runs its cells sequentially; start more "
+                         "'work' processes instead of --workers")
         if args.port is None:
-            parser.error("work requires --port (the coordinator's port)")
-        stats = run_worker(args.host, args.port,
-                           max_workers=args.workers or 1,
-                           throttle=args.throttle,
+            parser.error("work requires --port (the service's port)")
+        stats = run_worker(args.host, args.port, throttle=args.throttle,
                            cache_dir=args.cache_dir)
         print(format_worker_stats(stats), file=sys.stderr)
 
@@ -488,8 +445,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             reply = submit_sweep(
                 args.host, args.port, sweep, args.name,
                 priority=args.priority, batch_size=args.batch_size,
-                resume=args.resume, adaptive=not args.fixed_batches,
-                checkpoint_every=args.checkpoint_every,
+                resume=args.resume, checkpoint_every=args.checkpoint_every,
                 store=str(args.output) if args.output else None)
             print(f"submitted {reply['sweep']}: {reply['cells']} cells "
                   f"({reply['pending']} to compute, priority "
@@ -600,7 +556,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.distrib import protocol
         from repro.telemetry import render_prometheus
         if args.port is None:
-            parser.error("metrics requires --port (the coordinator's port)")
+            parser.error("metrics requires --port (the service's port)")
         stream = protocol.connect(args.host, args.port)
         try:
             stream.send({"type": "metrics"})
@@ -608,7 +564,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         finally:
             stream.close()
         if reply is None or reply.get("type") != "metrics":
-            print(f"unexpected reply from coordinator: {reply!r}",
+            print(f"unexpected reply from the service: {reply!r}",
                   file=sys.stderr)
             return 1
         sys.stdout.write(render_prometheus(reply["snapshot"]))

@@ -1,10 +1,9 @@
 """Distributed sweep execution: a multi-sweep service over TCP JSON lines.
 
-PR 3 made sweeps shardable (``--shard i/N``) but the partition was static —
-a straggler shard (one branch-and-bound-heavy slice of the design space)
-idles every other machine.  PR 4 replaced static partitioning with
-**dynamic batch leasing** under a one-sweep-per-process coordinator; this
-subsystem now hosts that machinery as a long-lived, multi-tenant service:
+Sweeps are shardable (``--shard i/N``), but a static partition is only as
+fast as its slowest shard — one branch-and-bound-heavy slice of the design
+space idles every other machine.  This subsystem replaces it with
+**dynamic batch leasing** from one long-lived, multi-tenant service:
 
 * :class:`SweepService` (`repro.distrib.service`) — one process serving
   many **named sweeps** concurrently: per-sweep queues, stores and journal
@@ -14,17 +13,18 @@ subsystem now hosts that machinery as a long-lived, multi-tenant service:
   (:func:`adaptive_batch`); graceful **cancellation** (in-flight leases
   drain, journals compact, the partial store stays mergeable); heartbeats,
   re-leasing from dead or expired workers (at-least-once, duplicate
-  completions validated bitwise), per-tenant failure isolation;
-* :class:`SweepCoordinator` (`repro.distrib.coordinator`) — the original
-  single-sweep API, now a thin drain-when-idle face over the service;
-* :func:`run_worker` (`repro.distrib.worker`) — sweep-agnostic: one engine
-  per process, stateless between batches, executing whichever sweep each
-  lease names; safe to kill at any instant;
+  completions validated bitwise), per-tenant failure isolation; with
+  ``drain_when_idle=True`` it releases its workers once every sweep is
+  terminal;
+* :func:`run_worker` (`repro.distrib.worker`) — sweep-agnostic: one
+  sequential engine per process, stateless between batches, executing
+  whichever sweep each lease names; safe to kill at any instant;
 * :func:`submit_sweep` / :func:`sweep_status` / :func:`cancel_sweep` /
   :func:`list_sweeps` / :func:`wait_for_sweep` (`repro.distrib.client`) —
   one-shot wire clients for the version-2 control verbs;
-* :func:`execute_sweep_distributed` (`repro.distrib.local`) — the
-  one-machine convenience path behind ``execute_sweep(..., workers=N)``;
+* :func:`execute_sweep_distributed` (`repro.distrib.local`) — a draining
+  service plus N spawned local workers, the one-machine path behind
+  ``execute_sweep(..., workers=N)``;
 * `repro.distrib.protocol` / `repro.distrib.progress` — the JSON-lines
   wire format (version negotiated in hello/welcome) and the shared
   cells/s + ETA reporter.
@@ -33,8 +33,7 @@ The contract inherited from the whole engine/store stack: however cells are
 leased, re-leased, duplicated or interleaved, and however many tenants
 share the fleet, every sweep's final store is **byte-identical** to a
 monolithic ``execute_sweep`` of the same spec.  ``repro-eval
-serve/submit/status/cancel`` (plus the older ``coordinate``/``work``) are
-the CLI faces.
+serve/submit/work/status/cancel/metrics`` are the CLI faces.
 """
 
 from repro.distrib.client import (
@@ -45,7 +44,6 @@ from repro.distrib.client import (
     sweep_status,
     wait_for_sweep,
 )
-from repro.distrib.coordinator import SweepCoordinator
 from repro.distrib.local import execute_sweep_distributed
 from repro.distrib.progress import ProgressReporter, format_eta
 from repro.distrib.protocol import (
@@ -58,7 +56,6 @@ from repro.distrib.service import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_LEASE_TIMEOUT,
-    CoordinatorError,
     Lease,
     ServiceError,
     SweepJob,
@@ -78,10 +75,8 @@ __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
     "DEFAULT_LEASE_TIMEOUT",
     "ClientError",
-    "CoordinatorError",
     "Lease",
     "ServiceError",
-    "SweepCoordinator",
     "SweepJob",
     "SweepService",
     "adaptive_batch",

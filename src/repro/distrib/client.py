@@ -67,7 +67,6 @@ def submit_sweep(host: str, port: int, sweep: SweepSpec, name: str,
                  priority: int = 1,
                  batch_size: Optional[int] = None,
                  resume: bool = False,
-                 adaptive: bool = True,
                  checkpoint_every: Optional[int] = None,
                  store: Optional[str] = None) -> Dict:
     """Submit *sweep* to a running service under *name*; admission stats.
@@ -81,8 +80,7 @@ def submit_sweep(host: str, port: int, sweep: SweepSpec, name: str,
     service's journal cadence for this sweep.
     """
     message: Dict = {"type": "submit", "sweep": sweep.meta(), "name": name,
-                     "priority": priority, "resume": resume,
-                     "adaptive": adaptive}
+                     "priority": priority, "resume": resume}
     if batch_size is not None:
         message["batch_size"] = batch_size
     if checkpoint_every is not None:

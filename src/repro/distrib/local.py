@@ -1,10 +1,11 @@
-"""One-machine convenience: coordinator plus N spawned local workers.
+"""One-machine convenience: a draining service plus N spawned local workers.
 
 ``execute_sweep(sweep, workers=N)`` (and ``repro-eval explore
---distributed N``) lands here: a :class:`SweepCoordinator` bound to an
-ephemeral localhost port, *N* worker processes spawned against it, and a
-watchdog that fails fast if the whole fleet dies before the sweep is done
-(a lone coordinator would otherwise wait forever for workers that will
+--distributed N``) lands here: a :class:`SweepService` with
+``drain_when_idle=True`` bound to an ephemeral localhost port, the sweep
+submitted to it under its store name, *N* worker processes spawned against
+it, and a watchdog that fails fast if the whole fleet dies before the sweep
+is done (a lone service would otherwise wait forever for workers that will
 never return).  The summary dict is shaped exactly like
 :func:`repro.explore.execute_sweep`'s, plus a ``distrib`` stats block.
 """
@@ -14,12 +15,12 @@ from __future__ import annotations
 import multiprocessing
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.distrib.coordinator import (
+from repro.distrib.service import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_LEASE_TIMEOUT,
-    CoordinatorError,
-    SweepCoordinator,
+    ServiceError,
+    SweepService,
 )
 from repro.distrib.worker import worker_process_entry
 from repro.engine.results import ResultStore
@@ -38,19 +39,16 @@ def execute_sweep_distributed(sweep: SweepSpec,
                               checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
                               worker_options: Optional[Sequence[Dict]] = None,
                               timeout: Optional[float] = None,
-                              cache_dir: Optional[str] = None,
-                              adaptive: bool = True) -> Dict:
-    """Run *sweep* with a local coordinator and *workers* spawned processes.
+                              cache_dir: Optional[str] = None) -> Dict:
+    """Run *sweep* on a local service and *workers* spawned processes.
 
     ``worker_options`` optionally carries one kwargs dict per worker
-    (``name``, ``max_workers``, ``throttle`` — see
-    :func:`repro.distrib.worker.run_worker`); tests and benchmarks use it to
-    manufacture deterministic stragglers.  ``cache_dir`` is handed to every
-    worker (unless its options dict overrides it) so the whole fleet shares
-    one persistent program cache.  ``adaptive=False`` pins every lease to
-    the fixed ``batch_size`` cut instead of the service's shrinking-tail
-    policy (``benchmarks/bench_service.py`` measures one against the
-    other).  The resulting store is byte-identical to a monolithic
+    (``name``, ``throttle`` — see :func:`repro.distrib.worker.run_worker`);
+    tests and benchmarks use it to manufacture deterministic stragglers.
+    ``cache_dir`` is handed to every worker (unless its options dict
+    overrides it) so the whole fleet shares one persistent program cache.
+    ``batch_size`` is the lease-size ceiling of the service's adaptive
+    cuts.  The resulting store is byte-identical to a monolithic
     ``execute_sweep`` of the same spec.
     """
     if workers < 1:
@@ -60,14 +58,16 @@ def execute_sweep_distributed(sweep: SweepSpec,
         raise ValueError(f"{len(options)} worker_options for {workers} workers")
     options += [{}] * (workers - len(options))
 
-    coordinator = SweepCoordinator(
-        sweep, store=store, name=name, port=0, shard=shard, resume=resume,
-        batch_size=batch_size, lease_timeout=lease_timeout,
-        checkpoint_every=checkpoint_every, progress=progress,
-        adaptive=adaptive)
-    coordinator.start()
+    service = SweepService(store=store, lease_timeout=lease_timeout,
+                           checkpoint_every=checkpoint_every,
+                           drain_when_idle=True, progress=progress)
+    # Submitting before start() validates the sweep (bad batch sizes,
+    # resume without a store, cell-key collisions) before anything listens.
+    service.submit(sweep, name, shard=shard, resume=resume,
+                   batch_size=batch_size)
+    service.start()
 
-    # Spawn (not fork): the coordinator already runs server threads, and
+    # Spawn (not fork): the service already runs server threads, and
     # forking a multi-threaded parent can deadlock the child on inherited
     # lock state.  Spawned workers import a clean interpreter.
     context = multiprocessing.get_context("spawn")
@@ -78,30 +78,26 @@ def execute_sweep_distributed(sweep: SweepSpec,
             kwargs.setdefault("name", f"local-{index}")
             if cache_dir is not None:
                 kwargs.setdefault("cache_dir", cache_dir)
-            # Not daemonic: a worker may itself open an engine process pool
-            # (worker_options={"max_workers": N}), which daemonic processes
-            # are forbidden to do.  The finally-block below reaps them, and
-            # workers exit on their own once the coordinator socket closes.
             process = context.Process(
                 target=worker_process_entry,
-                args=(coordinator.host, coordinator.port),
-                kwargs=kwargs, name=f"sweep-worker-{index}")
+                args=(service.host, service.port),
+                kwargs=kwargs, name=f"sweep-worker-{index}", daemon=True)
             process.start()
             processes.append(process)
 
         waited = 0.0
-        while not coordinator.wait(0.5):
+        while not service.wait(name, 0.5):
             waited += 0.5
             if timeout is not None and waited >= timeout:
-                raise CoordinatorError(
+                raise ServiceError(
                     f"distributed sweep did not complete within {timeout} s")
             if not any(process.is_alive() for process in processes):
-                raise CoordinatorError(
+                raise ServiceError(
                     "every local worker exited before the sweep completed "
                     f"(exit codes {[p.exitcode for p in processes]})")
-        return coordinator.summary()
+        return service.summary(name)
     finally:
-        coordinator.shutdown()
+        service.shutdown()
         for process in processes:
             process.join(timeout=10.0)
             if process.is_alive():

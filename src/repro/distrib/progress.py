@@ -1,8 +1,8 @@
 """Live progress/ETA reporting for long sweeps.
 
 One :class:`ProgressReporter` instance serves both execution paths: the
-plain ``execute_sweep(..., progress=True)`` loop and the distributed
-coordinator (which adds worker/lease counts via ``extra``).  Output goes to
+plain ``execute_sweep(..., progress=True)`` loop and the sweep service
+(which adds worker/lease counts via ``extra``).  Output goes to
 stderr so stdout stays machine-readable; on a TTY the line redraws in
 place, otherwise one line is printed per reporting interval (CI logs stay
 readable instead of drowning in carriage returns).
@@ -11,7 +11,7 @@ The displayed rate — and the ETA derived from it — is an EWMA of *recent*
 completions (:class:`~repro.telemetry.RateEwma`), not the overall average:
 after a compile-heavy warm-up the overall average understates steady-state
 throughput for the rest of the run, which made long-sweep ETAs wildly
-pessimistic.  The same estimator drives the coordinator's per-worker
+pessimistic.  The same estimator drives the service's per-worker
 throughput gauges, so the progress line and ``repro-eval metrics`` agree.
 """
 

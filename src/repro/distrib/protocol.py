@@ -6,13 +6,12 @@ the result stores themselves (floats serialize via ``repr``/``json`` and
 round-trip bitwise, so a record that crosses the wire is byte-for-byte the
 record a local run would have produced).
 
-Version 2 (the multi-sweep service protocol).  Version 1 was the
-single-sweep coordinator protocol, whose ``welcome`` embedded the one
-sweep's axes meta; a v2 ``welcome`` carries no sweep — each ``lease`` names
-its sweep and ships the axes meta instead, which is what makes workers
-sweep-agnostic.  ``hello``/``welcome`` negotiate the version: a mismatch is
-answered with a versioned ``error`` message (not a decode crash), so an old
-worker against a new service — or vice versa — fails loudly and legibly.
+Version 2.  A ``welcome`` carries no sweep: each ``lease`` names its sweep
+and ships the axes meta, which is what makes workers sweep-agnostic, and
+each ``result`` names its sweep back.  ``hello``/``welcome`` negotiate the
+version: a mismatch is answered with a versioned ``error`` message (not a
+decode crash), so a peer speaking any other version fails loudly and
+legibly before it can lease or submit anything.
 
 Message vocabulary (``type`` field); *w* = worker, *s* = service,
 *c* = client (submitter/observer):
@@ -34,10 +33,10 @@ type           direction  payload
                           leased cell)
 ``heartbeat``  w → s      extends the worker's lease deadlines (no reply)
 ``submit``     c → s      ``sweep`` (axes meta), ``name``, ``priority``,
-                          optional ``batch_size``/``checkpoint_every``/
-                          ``resume``/``adaptive``/``store`` (directory on
-                          the service host); replied with ``submitted``
-                          carrying the admission ``snapshot``
+                          optional ``batch_size`` (lease-size ceiling)/
+                          ``checkpoint_every``/``resume``/``store``
+                          (directory on the service host); replied with
+                          ``submitted`` carrying the admission counts
 ``status``     any → s    optional ``sweep`` — replied with a ``status``
                           message carrying per-sweep ``snapshot``\\ s
                           (counts, EWMA throughput, ETA)

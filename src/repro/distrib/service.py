@@ -1,17 +1,19 @@
 """The multi-sweep service: named sweeps, priorities, adaptive leases.
 
-PR 4's coordinator ran exactly one sweep per process with a fixed fleet.
-:class:`SweepService` promotes that into a long-lived, multi-tenant server:
-any number of **named sweeps** live concurrently inside one process, each
-with its own queue, store file, journal checkpoints and counters, all
-served by one sweep-agnostic worker fleet over the JSON-lines protocol
-(`repro.distrib.protocol`, version 2).
+:class:`SweepService` is the one host of every distributed sweep: a
+long-lived, multi-tenant server in which any number of **named sweeps**
+live concurrently, each with its own queue, store file, journal
+checkpoints and counters, all served by one sweep-agnostic worker fleet
+over the JSON-lines protocol (`repro.distrib.protocol`, version 2).  With
+``drain_when_idle=True`` it releases its workers once every submitted
+sweep is terminal — the shape of ``repro-eval serve --drain`` and of the
+one-machine ``execute_sweep(..., workers=N)`` path.
 
 * **Named sweeps.**  ``submit()`` (in process or over the wire) registers a
-  :class:`SweepJob` under a unique name.  Every job keeps the full per-sweep
-  state the old coordinator kept globally — pending queue, stored/completed
-  records, journal tail, throughput EWMA — so tenants cannot observe each
-  other through shared counters or shared store files.
+  :class:`SweepJob` under a unique name.  Every job keeps its own pending
+  queue, stored/completed records, journal tail and throughput EWMA, so
+  tenants cannot observe each other through shared counters or shared
+  store files.
 * **Priority scheduling.**  Leases are handed out by weighted fair share:
   each admitting job is scored ``priority / (leased_cells + 1)`` and the
   highest score wins (ties break to higher priority, then submission
@@ -19,12 +21,13 @@ served by one sweep-agnostic worker fleet over the JSON-lines protocol
   a priority-1 sweep on the same fleet, and the shares rebalance instantly
   when sweeps are submitted or cancelled mid-run (see
   :func:`schedule_score`).
-* **Adaptive lease tails.**  Batch size is no longer a fixed cut: each
-  lease takes ``adaptive_batch(remaining, fleet, max_batch)`` cells, which
-  equals ``max_batch`` while the queue is deep and shrinks toward 1 as the
+* **Adaptive lease tails.**  Every lease takes
+  ``adaptive_batch(remaining, fleet, max_batch)`` cells, which equals
+  ``max_batch`` while the queue is deep and shrinks toward 1 as the
   remaining-work/fleet ratio drops — the hp-adaptive-FEM rebalancing
   insight that a draining queue must be spread thin so no straggler holds
-  the tail (``benchmarks/bench_service.py`` pins the win over fixed cuts).
+  the tail (``benchmarks/bench_service.py`` pins the win over the
+  sleep-only bound of fixed cuts).
 * **Cancellation.**  ``cancel()`` stops leasing a sweep immediately;
   in-flight leases drain (their results are still accepted and journaled),
   then the journal is compacted so the partial store is a well-formed keyed
@@ -38,9 +41,7 @@ served by one sweep-agnostic worker fleet over the JSON-lines protocol
 
 Failure is per-tenant: a sweep whose fleet produces conflicting duplicate
 records (or whose journal write fails) flips to ``failed`` and stops
-leasing, without disturbing the other tenants.  The single-sweep
-:class:`~repro.distrib.coordinator.SweepCoordinator` is now a thin
-compatibility face over this service.
+leasing, without disturbing the other tenants.
 """
 
 from __future__ import annotations
@@ -94,11 +95,7 @@ TERMINAL_STATES = (JOB_COMPLETED, JOB_CANCELLED, JOB_FAILED)
 
 
 class ServiceError(RuntimeError):
-    """A sweep cannot be admitted, found, or trusted by the service."""
-
-
-class CoordinatorError(ServiceError):
-    """The distributed run cannot produce a trustworthy store."""
+    """A sweep cannot be admitted, found, finished or trusted."""
 
 
 def adaptive_batch(remaining: int, fleet: int, max_batch: int,
@@ -160,8 +157,7 @@ class Lease:
 class SweepJob:
     """Per-tenant state of one named sweep hosted by the service.
 
-    Everything the old single-sweep coordinator kept as instance state now
-    lives here, one copy per tenant; the service's lock guards all of it.
+    One copy per tenant; the service's lock guards all of it.
     """
 
     name: str
@@ -170,7 +166,6 @@ class SweepJob:
     priority: int
     order: int
     max_batch: int
-    adaptive: bool
     checkpoint_every: int
     resume: bool
     meta: Dict
@@ -238,9 +233,9 @@ class SweepService:
     :meth:`summary` per sweep.  All shared state is guarded by one lock;
     per-connection reader threads and the lease reaper are the only
     writers.  With ``drain_when_idle=True`` the service tells workers
-    ``done`` once every submitted sweep is terminal (the single-sweep
-    coordinator mode); otherwise idle workers are parked with ``wait`` so
-    later submissions reuse the same fleet.
+    ``done`` once every submitted sweep is terminal (``serve --drain`` and
+    the one-machine fleet); otherwise idle workers are parked with ``wait``
+    so later submissions reuse the same fleet.
     """
 
     def __init__(self,
@@ -347,16 +342,15 @@ class SweepService:
                shard: Optional[Tuple[int, int]] = None,
                resume: bool = False,
                batch_size: int = DEFAULT_BATCH_SIZE,
-               checkpoint_every: Optional[int] = None,
-               adaptive: bool = True) -> SweepJob:
+               checkpoint_every: Optional[int] = None) -> SweepJob:
         """Admit *sweep* under the unique *name*; returns its live job.
 
         ``store`` defaults to the service-wide store root (the sweep's
         records land in ``<root>/<name>.json``); ``priority`` weights the
         lease scheduler; ``batch_size`` is the lease-size *ceiling* —
-        actual cuts follow :func:`adaptive_batch` unless ``adaptive=False``
-        pins them to the fixed ceiling.  ``resume``/``shard`` compose
-        exactly as on the old single-sweep coordinator.
+        actual cuts follow :func:`adaptive_batch`.  ``shard`` restricts the
+        sweep to one ``(index, count)`` shard and ``resume`` skips the cells
+        already in the store, exactly as on the in-process path.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -400,7 +394,6 @@ class SweepService:
             job = SweepJob(
                 name=name, sweep=sweep, store=store, priority=priority,
                 order=self._job_order, max_batch=batch_size,
-                adaptive=adaptive,
                 checkpoint_every=(self.checkpoint_every
                                   if checkpoint_every is None
                                   else checkpoint_every),
@@ -464,7 +457,7 @@ class SweepService:
     def summary(self, name: str) -> Dict:
         """Finalized ``execute_sweep``-shaped summary of sweep *name*.
 
-        Raises :class:`CoordinatorError` if the sweep failed (conflicting
+        Raises :class:`ServiceError` if the sweep failed (conflicting
         duplicate records, journal write failure) — a fleet that cannot
         reproduce a cell must not hand back a summary that looks like
         success.
@@ -474,7 +467,7 @@ class SweepService:
             raise RuntimeError(f"sweep {name!r} is not complete yet")
         with self._lock:
             if job.failure is not None:
-                raise CoordinatorError(job.failure)
+                raise ServiceError(job.failure)
             combined = dict(job.stored)
             combined.update(job.completed)
             records = [combined[key] for key in sorted(combined)]
@@ -711,8 +704,7 @@ class SweepService:
                 batch_size=int(message.get("batch_size",
                                            DEFAULT_BATCH_SIZE)),
                 checkpoint_every=(None if checkpoint_every is None
-                                  else int(checkpoint_every)),
-                adaptive=bool(message.get("adaptive", True)))
+                                  else int(checkpoint_every)))
         except (ServiceError, ValueError, TypeError) as error:
             raise ProtocolError(f"submit rejected: {error}") from error
         return {"type": "submitted", "sweep": name,
@@ -748,11 +740,8 @@ class SweepService:
                         all(j.terminal for j in self._jobs.values()):
                     return {"type": "done"}
                 return {"type": "wait", "seconds": 0.5}
-            fleet = max(1, self._connected)
-            if job.adaptive:
-                cut = adaptive_batch(len(job.pending), fleet, job.max_batch)
-            else:
-                cut = job.max_batch
+            cut = adaptive_batch(len(job.pending), max(1, self._connected),
+                                 job.max_batch)
             # Skip keys that were re-queued (expired lease) but completed
             # anyway before being re-leased — at-least-once execution means
             # a late result may beat its replacement to the queue, and
@@ -790,25 +779,6 @@ class SweepService:
     # ------------------------------------------------------------------ #
     # Completion, journaling, finalization
     # ------------------------------------------------------------------ #
-    def _route_locked(self, message: Dict) -> Optional[SweepJob]:
-        """The job a lease-less ``result`` message belongs to (its sweep
-        field, or — for late results whose lease already expired — the cell
-        key).  Results that still hold a live lease are routed by the lease
-        itself in :meth:`_complete`; a worker is not trusted to relabel
-        leased work across tenants."""
-        name = message.get("sweep")
-        if isinstance(name, str) and name in self._jobs:
-            return self._jobs[name]
-        records = message.get("records")
-        if isinstance(records, list):
-            for record in records:
-                key = record.get("cell_key") if isinstance(record, dict) \
-                    else None
-                for job in self._jobs.values():
-                    if key in job.by_key:
-                        return job
-        return None
-
     def _complete(self, worker: str, message: Dict) -> None:
         records = message.get("records")
         if not isinstance(records, list):
@@ -854,7 +824,12 @@ class SweepService:
                         f"{lease.lease_id} belongs to sweep "
                         f"{lease.sweep!r}")
             else:
-                job = self._route_locked(message)
+                # A late result (its lease expired and was re-leased) goes
+                # to the sweep it names; a result that still holds a live
+                # lease was routed by the lease above, because a worker is
+                # not trusted to relabel leased work across tenants.
+                name = message.get("sweep")
+                job = self._jobs.get(name) if isinstance(name, str) else None
             if job is None:
                 raise ProtocolError(
                     f"result for unknown sweep "
@@ -1107,7 +1082,7 @@ class SweepService:
         return snapshot
 
     def job_stats(self, name: str) -> Dict:
-        """Point-in-time counters of one sweep, coordinator-`stats` shaped."""
+        """Point-in-time counters of one sweep (tests, monitoring)."""
         with self._lock:
             job = self._jobs.get(name)
             if job is None:

@@ -1,7 +1,7 @@
 """The sweep-agnostic worker: lease batches, execute them, stream records.
 
-A worker is one process with one engine, and — since the multi-sweep
-service refactor — no sweep of its own.  It connects, negotiates the
+A worker is one process with one sequential engine and no sweep of its
+own: the fleet is the parallelism.  It connects, negotiates the
 protocol version in hello/welcome, and then loops request → execute →
 result.  Each ``lease`` carries its sweep's name plus the sweep's axes
 meta (``SweepSpec.meta()``), so one worker serves every tenant the service
@@ -116,14 +116,13 @@ class _SweepCellCache:
 
 def run_worker(host: str, port: int,
                name: Optional[str] = None,
-               max_workers: int = 1,
                throttle: float = 0.0,
                connect_timeout: float = 30.0,
                cache_dir: Optional[str] = None) -> Dict:
     """Serve one sweep service until it releases this worker; return stats.
 
-    ``max_workers`` is the engine's in-process fan-out *within* this worker
-    (normally 1 — the fleet is the parallelism).  ``throttle`` injects an
+    The worker runs its cells one at a time in this process; scale out by
+    starting more workers, not by widening one.  ``throttle`` injects an
     artificial delay of that many seconds per executed cell; it exists so
     tests, benchmarks and the CI smoke job can manufacture deterministic
     stragglers, and is harmless in production use.  ``cache_dir`` points the
@@ -158,8 +157,7 @@ def run_worker(host: str, port: int,
                 f"{welcome.get('version')!r}; upgrade the older side")
 
         cell_cache = _SweepCellCache()
-        engine = ExperimentEngine(max_workers=max_workers,
-                                  cache_dir=cache_dir)
+        engine = ExperimentEngine(max_workers=1, cache_dir=cache_dir)
         heartbeat = _Heartbeat(stream, float(welcome["heartbeat_interval"]))
 
         hub = get_telemetry()
@@ -176,19 +174,18 @@ def run_worker(host: str, port: int,
                 break  # service gone; nothing left to do safely
             kind = message["type"]
             if kind == "lease":
-                sweep_name = message.get("sweep", "sweep")
                 try:
+                    sweep_name = message["sweep"]
                     cells_by_key = cell_cache.cells_for(message["spec"])
                     batch = [cells_by_key[key] for key in message["keys"]]
                 except (KeyError, ValueError) as error:
                     raise ProtocolError(
-                        f"unusable lease for sweep {sweep_name!r} "
+                        f"unusable lease for sweep {message.get('sweep')!r} "
                         f"({error}); service and worker disagree about "
                         f"the sweep") from error
                 with hub.span("lease.execute", sweep=sweep_name,
                               cells=len(batch)):
-                    runs = run_sweep_cells(batch, engine,
-                                           max_workers=max_workers)
+                    runs = run_sweep_cells(batch, engine)
                     if throttle:
                         time.sleep(throttle * len(batch))
                 records = [cell_record(cell, run)

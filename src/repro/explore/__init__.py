@@ -26,7 +26,7 @@ the :class:`~repro.engine.ExperimentEngine`:
   emitted next to the CSV tables (`repro.explore.report`).
 
 ``execute_sweep(..., workers=N)`` hands execution to the `repro.distrib`
-coordinator/worker subsystem — dynamic batch leasing across processes or
+service/worker subsystem — dynamic batch leasing across processes or
 machines, byte-identical to the in-process run.
 """
 

@@ -214,8 +214,8 @@ class SweepSpec:
 
         Floats survive JSON exactly (``repr`` serialization), so the rebuilt
         spec enumerates cells with the very same :func:`cell_key`\\ s — this
-        is how a distributed worker reconstitutes the sweep from the
-        coordinator's ``welcome`` message.  Per-run keys (``cells``,
+        is how a distributed worker reconstitutes the sweep from the axes
+        meta every ``lease`` carries.  Per-run keys (``cells``,
         ``shard``) are ignored; missing axes are an error — except
         ``timing_models``, whose absence means the pre-axis default
         ``("flat",)``.
@@ -366,8 +366,8 @@ def load_resumable_records(store: ResultStore, name: str, sweep: SweepSpec,
                            by_key: Dict[str, SweepCell]) -> Dict[str, Dict]:
     """The stored records of *sweep* a resume may skip: store + journal.
 
-    Shared by the in-process resume path and the distributed coordinator so
-    their semantics cannot diverge.  Everything is validated against the
+    Shared by the in-process resume path and the sweep service so their
+    semantics cannot diverge.  Everything is validated against the
     requested sweep's axes **before** anything is folded or loaded: a store
     or leftover checkpoint journal from a *different* sweep is refused
     outright — compacting first would merge foreign records and overwrite
@@ -415,8 +415,7 @@ def execute_sweep(sweep: SweepSpec,
                   checkpoint_every: Optional[int] = None,
                   batch_size: Optional[int] = None,
                   lease_timeout: Optional[float] = None,
-                  cache_dir: Optional[str] = None,
-                  adaptive: bool = True) -> Dict:
+                  cache_dir: Optional[str] = None) -> Dict:
     """Run *sweep* — optionally one shard of it — with store-backed resume.
 
     * ``shard=(i, N)`` restricts execution to the cells whose key hashes to
@@ -429,20 +428,19 @@ def execute_sweep(sweep: SweepSpec,
       *K* stored cells and raises :class:`SweepRecheckError` unless they
       reproduce bitwise — a cheap staleness probe for resumed stores;
     * ``workers=N`` executes through the distributed subsystem instead — a
-      local coordinator leasing dynamic batches to *N* spawned worker
+      local sweep service leasing dynamic batches to *N* spawned worker
       processes (`repro.distrib`); the resulting store is byte-identical
-      to the in-process run;
+      to the in-process run.  ``engine``, ``max_workers`` and ``recheck``
+      configure the in-process path and are rejected alongside it;
     * ``progress=True`` prints a live cells/s + ETA line to stderr (stdout
       stays machine-readable);
     * ``checkpoint_every=K`` (with a store) journals completed records every
       *K* cells in O(batch) — an interrupted run can then ``resume`` from
       its last checkpoint instead of from the last full store write.
       ``0`` disables checkpointing on every path; ``None`` (the default)
-      means off in-process and the coordinator default when distributed;
-    * ``batch_size`` / ``lease_timeout`` tune the distributed lease
-      granularity and failure detection; they require ``workers``;
-      ``adaptive=False`` additionally pins every lease to the fixed
-      ``batch_size`` cut instead of the service's shrinking-tail policy;
+      means off in-process and the service default when distributed;
+    * ``batch_size`` / ``lease_timeout`` tune the distributed lease-size
+      ceiling and failure detection; they require ``workers``;
     * ``cache_dir`` enables the persistent on-disk program cache: the
       in-process engine (and, distributed, every spawned worker) loads
       compiled programs from that directory instead of recompiling, so a
@@ -459,9 +457,10 @@ def execute_sweep(sweep: SweepSpec,
         if recheck:
             raise ValueError("recheck is not supported on the distributed "
                              "path; run it in-process first")
-        if engine is not None:
-            raise ValueError("a distributed run spawns its own worker "
-                             "engines; the engine argument does not apply")
+        if engine is not None or max_workers is not None:
+            raise ValueError("a distributed run spawns its own sequential "
+                             "worker engines; engine and max_workers do "
+                             "not apply")
         from repro.distrib import execute_sweep_distributed
         kwargs = {}
         if checkpoint_every is not None:
@@ -473,13 +472,13 @@ def execute_sweep(sweep: SweepSpec,
         return execute_sweep_distributed(
             sweep, store=store, name=name, workers=workers, shard=shard,
             resume=resume, progress=progress, cache_dir=cache_dir,
-            adaptive=adaptive, **kwargs)
+            **kwargs)
     if engine is not None and cache_dir is not None:
         raise ValueError("cache_dir configures a fresh engine; give the "
                          "explicit engine a disk cache instead "
                          "(ExperimentEngine(cache_dir=...))")
-    if batch_size is not None or lease_timeout is not None or not adaptive:
-        raise ValueError("batch_size/lease_timeout/adaptive configure the "
+    if batch_size is not None or lease_timeout is not None:
+        raise ValueError("batch_size/lease_timeout configure the "
                          "distributed lease protocol; they require workers=N")
 
     cells = sweep.cells()

@@ -11,7 +11,7 @@ The subsystem has three parts, none of which may perturb the science:
   it), the hub is a **no-op singleton**: every span and counter call
   returns immediately and no file is ever touched.
 * :mod:`repro.telemetry.metrics` — the :class:`Ewma`/:class:`RateEwma`
-  estimators shared by the progress reporter and the coordinator's
+  estimators shared by the progress reporter and the sweep service's
   per-worker throughput gauges, plus the Prometheus-text rendering behind
   ``repro-eval metrics``.
 * :mod:`repro.telemetry.stats` — the offline reducer behind

@@ -75,7 +75,7 @@ class Telemetry:
         """Enable the hub, writing events under *sink_dir*; returns self.
 
         ``role`` stamps this process's event file name (``main``,
-        ``coordinator``, ``worker``, …).  ``propagate=True`` (default)
+        ``service``, ``worker``, …).  ``propagate=True`` (default)
         exports the sink through :data:`TELEMETRY_DIR_ENV` so child
         processes — the engine's pool workers and spawned fleet workers —
         pick it up automatically (their role defaults to ``worker``).
@@ -154,7 +154,7 @@ class Telemetry:
 
         Yields the span's per-process id (``None`` when disabled).  The
         event is emitted when the span *ends*; nesting (``parent``,
-        ``depth``) is tracked per thread, so concurrent coordinator threads
+        ``depth``) is tracked per thread, so concurrent service threads
         cannot corrupt each other's stacks.
         """
         if not self.enabled:

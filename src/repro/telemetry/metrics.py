@@ -6,11 +6,11 @@ estimate by ``0.5 ** (dt / halflife)`` so a sample's influence depends on
 how long ago it arrived, not on how many samples happened since.
 :class:`RateEwma` layers event counting on top — feed it ``(count, now)``
 observations and it maintains a smoothed events/second rate.  Both the
-progress reporter's ETA (``repro.distrib.progress``) and the coordinator's
+progress reporter's ETA (``repro.distrib.progress``) and the service's
 per-worker throughput gauges use the same estimator, replacing the naive
 overall-average rate that was wildly wrong after a compile-heavy warm-up.
 
-:func:`render_prometheus` turns the coordinator's ``metrics`` protocol
+:func:`render_prometheus` turns the sweep service's ``metrics`` protocol
 snapshot into the Prometheus text exposition format (``# TYPE`` headers,
 one ``name{labels} value`` sample per line) for ``repro-eval metrics`` —
 the poll surface an external autoscaler needs.
@@ -123,7 +123,7 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
     samples carrying a ``sweep`` label (plus a ``priority`` gauge and a
     ``status`` info-style gauge), so one scrape graphs each tenant's
     queue depth, throughput and ETA separately.  Unknown or ``None``
-    fields are simply omitted, so old coordinators and new CLIs coexist.
+    fields are simply omitted, so old services and new CLIs coexist.
     """
     lines: List[str] = []
     typed: set = set()

@@ -17,10 +17,10 @@ import pytest
 
 from repro.distrib import (
     PROTOCOL_VERSION,
-    CoordinatorError,
     ProgressReporter,
     ProtocolError,
-    SweepCoordinator,
+    ServiceError,
+    SweepService,
     connect,
     execute_sweep_distributed,
     format_eta,
@@ -33,7 +33,7 @@ from repro.explore import SweepSpec, execute_sweep
 #: Same 4-cell sweep the persistence tests use (~1 s monolithic).
 TEST_SWEEP = SweepSpec(benchmarks=("crc32", "fdct"), x_limits=(1.1, 1.5))
 
-#: Spawn, not fork: the coordinator under test runs server threads, and
+#: Spawn, not fork: the service under test runs server threads, and
 #: forking a threaded parent can deadlock the child on inherited locks.
 SPAWN = multiprocessing.get_context("spawn")
 
@@ -53,9 +53,17 @@ def monolithic(tmp_path_factory):
     return store, per_cell
 
 
-def spawn_worker(coordinator, **kwargs):
+def draining_service(sweep, store=None, **options) -> SweepService:
+    """A started service hosting *sweep* as ``"sweep"`` in one-cell leases;
+    it releases its workers once the sweep is terminal."""
+    service = SweepService(store=store, drain_when_idle=True, **options)
+    service.submit(sweep, "sweep", batch_size=1)
+    return service.start()
+
+
+def spawn_worker(service, **kwargs):
     process = SPAWN.Process(target=worker_process_entry,
-                            args=(coordinator.host, coordinator.port),
+                            args=(service.host, service.port),
                             kwargs=kwargs, daemon=True)
     process.start()
     return process
@@ -70,7 +78,7 @@ def wait_until(predicate, timeout=60.0, message="condition"):
 
 
 # --------------------------------------------------------------------------- #
-# Spec round trip (what workers rebuild from the welcome message)
+# Spec round trip (what workers rebuild from each lease's axes meta)
 # --------------------------------------------------------------------------- #
 def test_spec_roundtrips_through_meta_with_identical_cell_keys():
     spec = SweepSpec(benchmarks=("crc32", "fdct"), opt_levels=("O2", "Os"),
@@ -113,19 +121,6 @@ def test_distributed_resume_computes_only_missing_cells(tmp_path, monolithic):
         mono_store.path_for("sweep").read_bytes()
 
 
-def test_worker_with_inner_engine_pool_is_allowed(tmp_path, monolithic):
-    # worker_options={"max_workers": N} opens a process pool *inside* the
-    # worker, so local fleet processes must not be daemonic.
-    mono_store, _ = monolithic
-    store = ResultStore(tmp_path / "pooled")
-    summary = execute_sweep_distributed(
-        TEST_SWEEP, store=store, workers=1,
-        worker_options=[{"name": "pooled", "max_workers": 2}])
-    assert summary["computed"] == TEST_SWEEP.size
-    assert store.path_for("sweep").read_bytes() == \
-        mono_store.path_for("sweep").read_bytes()
-
-
 def test_local_fleet_validates_arguments():
     with pytest.raises(ValueError, match="at least 1 worker"):
         execute_sweep_distributed(TEST_SWEEP, workers=0)
@@ -134,6 +129,10 @@ def test_local_fleet_validates_arguments():
                                   worker_options=[{}, {}])
     with pytest.raises(ValueError, match="recheck"):
         execute_sweep(TEST_SWEEP, workers=1, recheck=1)
+    # Fleet workers are sequential; an in-process fan-out is not silently
+    # dropped on the distributed path.
+    with pytest.raises(ValueError, match="max_workers"):
+        execute_sweep(TEST_SWEEP, workers=1, max_workers=2)
 
 
 # --------------------------------------------------------------------------- #
@@ -143,29 +142,30 @@ def test_worker_killed_mid_lease_batch_is_relesed_bitwise(tmp_path,
                                                           monolithic):
     mono_store, _ = monolithic
     store = ResultStore(tmp_path / "killed")
-    coordinator = SweepCoordinator(TEST_SWEEP, store=store, batch_size=1,
-                                   lease_timeout=30.0, checkpoint_every=1)
-    coordinator.start()
+    service = draining_service(TEST_SWEEP, store=store, lease_timeout=30.0,
+                               checkpoint_every=1)
     victim = None
     replacement = None
     try:
         # The victim computes its leased cell, then sleeps ~60 s before
         # reporting — a wide-open window in which to SIGKILL it mid-lease.
-        victim = spawn_worker(coordinator, name="victim", throttle=60.0)
-        wait_until(lambda: coordinator.stats()["leased"] >= 1,
+        victim = spawn_worker(service, name="victim", throttle=60.0)
+        wait_until(lambda: service.job_stats("sweep")["leased"] >= 1,
                    message="victim to take a lease")
         victim.kill()
         victim.join(timeout=30.0)
 
         # The dropped connection must re-queue the victim's batch...
-        wait_until(lambda: coordinator.stats()["requeued_batches"] >= 1,
-                   message="the victim's lease to be re-queued")
+        wait_until(
+            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            message="the victim's lease to be re-queued")
         # ...and a replacement worker finishes the whole sweep.
-        replacement = spawn_worker(coordinator, name="replacement")
-        assert coordinator.wait(180.0), "sweep did not finish after re-lease"
-        summary = coordinator.summary()
+        replacement = spawn_worker(service, name="replacement")
+        assert service.wait("sweep", 180.0), \
+            "sweep did not finish after re-lease"
+        summary = service.summary("sweep")
     finally:
-        coordinator.shutdown()
+        service.shutdown()
         for process in (victim, replacement):
             if process is not None:
                 process.join(timeout=10.0)
@@ -184,9 +184,9 @@ def test_worker_killed_mid_lease_batch_is_relesed_bitwise(tmp_path,
         mono_store.path_for("sweep").read_bytes()
 
 
-def fake_worker(coordinator, name):
+def fake_worker(service, name):
     """A raw protocol client — lets tests misbehave in controlled ways."""
-    stream = connect(coordinator.host, coordinator.port)
+    stream = connect(service.host, service.port)
     stream.send({"type": "hello", "version": PROTOCOL_VERSION, "worker": name})
     welcome = stream.recv()
     assert welcome["type"] == "welcome"
@@ -199,29 +199,28 @@ def request(stream):
 
 
 def test_expired_lease_requeues_while_connection_stays_open():
-    coordinator = SweepCoordinator(TEST_SWEEP, batch_size=1,
-                                   lease_timeout=0.5)
-    coordinator.start()
+    service = draining_service(TEST_SWEEP, lease_timeout=0.5)
     hung = None
     worker = None
     try:
         # A connected-but-hung worker (no heartbeats) must not block the
         # sweep: its lease expires and the batch goes back to the queue.
-        hung = fake_worker(coordinator, "hung")
+        hung = fake_worker(service, "hung")
         lease = request(hung)
         assert lease["type"] == "lease" and len(lease["keys"]) == 1
-        wait_until(lambda: coordinator.stats()["requeued_batches"] >= 1,
-                   timeout=30.0, message="the hung lease to expire")
+        wait_until(
+            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            timeout=30.0, message="the hung lease to expire")
 
-        worker = spawn_worker(coordinator, name="rescuer")
-        assert coordinator.wait(180.0)
-        summary = coordinator.summary()
+        worker = spawn_worker(service, name="rescuer")
+        assert service.wait("sweep", 180.0)
+        summary = service.summary("sweep")
         assert summary["computed"] == TEST_SWEEP.size
         assert summary["distrib"]["requeued_batches"] >= 1
     finally:
         if hung is not None:
             hung.close()
-        coordinator.shutdown()
+        service.shutdown()
         if worker is not None:
             worker.join(timeout=10.0)
             if worker.is_alive():
@@ -231,55 +230,59 @@ def test_expired_lease_requeues_while_connection_stays_open():
 def test_duplicate_completions_validated_bitwise():
     sweep = SweepSpec(benchmarks=("crc32",), x_limits=(1.1, 1.5))
     keys = [cell.key for cell in sweep.cells()]
-    coordinator = SweepCoordinator(sweep, batch_size=1, lease_timeout=0.5)
-    coordinator.start()
+    service = draining_service(sweep, lease_timeout=0.5)
     first = second = None
     try:
         # `first` takes a lease and goes silent; the lease expires and the
         # same cell is re-leased to `second` — at-least-once execution.
-        first = fake_worker(coordinator, "first")
+        first = fake_worker(service, "first")
         lease_a = request(first)
         assert lease_a["type"] == "lease"
         key = lease_a["keys"][0]
-        wait_until(lambda: coordinator.stats()["requeued_batches"] >= 1,
-                   timeout=30.0, message="the silent lease to expire")
-        second = fake_worker(coordinator, "second")
+        wait_until(
+            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            timeout=30.0, message="the silent lease to expire")
+        second = fake_worker(service, "second")
         lease_b = request(second)
         assert lease_b["type"] == "lease" and lease_b["keys"] == [key]
 
         fabricated = {"cell_key": key, "energy_j": 1.0}
         second.send({"type": "result", "lease_id": lease_b["lease_id"],
-                     "records": [fabricated]})
-        wait_until(lambda: coordinator.stats()["computed"] == 1,
+                     "sweep": "sweep", "records": [fabricated]})
+        wait_until(lambda: service.job_stats("sweep")["computed"] == 1,
                    message="the fabricated completion to land")
 
-        # A bitwise-identical duplicate is tolerated (and counted)...
+        # A bitwise-identical duplicate is tolerated (and counted)...  The
+        # expired lease is gone, so this late result is routed by the
+        # sweep it names.
         first.send({"type": "result", "lease_id": lease_a["lease_id"],
-                    "records": [dict(fabricated)]})
-        wait_until(lambda: coordinator.stats()["duplicate_records"] == 1,
-                   message="the agreeing duplicate to be counted")
-        assert coordinator.stats()["failure"] is None
+                    "sweep": "sweep", "records": [dict(fabricated)]})
+        wait_until(
+            lambda: service.job_stats("sweep")["duplicate_records"] == 1,
+            message="the agreeing duplicate to be counted")
+        assert service.job_stats("sweep")["failure"] is None
 
         # ...but a conflicting duplicate aborts the run: a fleet that does
         # not reproduce bitwise must not write a store.
         first.send({"type": "result", "lease_id": lease_a["lease_id"],
+                    "sweep": "sweep",
                     "records": [{"cell_key": key, "energy_j": 2.0}]})
-        with pytest.raises(CoordinatorError, match="DIFFERENT"):
-            coordinator.run(timeout=30.0)
+        assert service.wait("sweep", 30.0)
+        with pytest.raises(ServiceError, match="DIFFERENT"):
+            service.summary("sweep")
         assert keys  # both cells belonged to the sweep
     finally:
         for stream in (first, second):
             if stream is not None:
                 stream.close()
-        coordinator.shutdown()
+        service.shutdown()
 
 
 def test_result_for_unknown_cell_is_rejected():
-    coordinator = SweepCoordinator(TEST_SWEEP, batch_size=1)
-    coordinator.start()
+    service = draining_service(TEST_SWEEP)
     rogue = None
     try:
-        rogue = fake_worker(coordinator, "rogue")
+        rogue = fake_worker(service, "rogue")
         lease = request(rogue)
         rogue.send({"type": "result", "lease_id": lease["lease_id"],
                     "records": [{"cell_key": "feedfacefeedface"}]})
@@ -287,13 +290,14 @@ def test_result_for_unknown_cell_is_rejected():
         assert reply["type"] == "error"
         assert "unknown cell" in reply["message"]
         # The rogue's lease went back to the queue when it was disconnected.
-        wait_until(lambda: coordinator.stats()["requeued_batches"] >= 1,
-                   timeout=30.0, message="the rogue's lease to be re-queued")
-        assert coordinator.stats()["failure"] is None
+        wait_until(
+            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            timeout=30.0, message="the rogue's lease to be re-queued")
+        assert service.job_stats("sweep")["failure"] is None
     finally:
         if rogue is not None:
             rogue.close()
-        coordinator.shutdown()
+        service.shutdown()
 
 
 # --------------------------------------------------------------------------- #

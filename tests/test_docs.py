@@ -61,7 +61,6 @@ ENTRY_POINTS = [
     ("repro.explore", "sweep_report"),
     ("repro.explore", "mark_pareto"),
     ("repro.explore", "cell_key"),
-    ("repro.distrib", "SweepCoordinator"),
     ("repro.distrib", "SweepService"),
     ("repro.distrib", "run_worker"),
     ("repro.distrib", "adaptive_batch"),

@@ -386,16 +386,18 @@ def test_cells_by_worker_counters_are_per_sweep():
     try:
         for spec, name, worker in ((ALPHA, "alpha", "miner"),
                                    (BETA, "beta", "smith")):
-            service.submit(spec, name, batch_size=spec.size,
-                           adaptive=False)
+            service.submit(spec, name)
             stream = fake_worker(service, worker)
             streams.append(stream)
-            lease = request(stream)
-            assert lease["sweep"] == name
-            stream.send({"type": "result", "lease_id": lease["lease_id"],
-                         "sweep": name,
-                         "records": [{"cell_key": key, "energy": 1.0}
-                                     for key in lease["keys"]]})
+            leased = 0
+            while leased < spec.size:  # adaptive cuts may split the sweep
+                lease = request(stream)
+                assert lease["type"] == "lease" and lease["sweep"] == name
+                stream.send({"type": "result",
+                             "lease_id": lease["lease_id"], "sweep": name,
+                             "records": [{"cell_key": key, "energy": 1.0}
+                                         for key in lease["keys"]]})
+                leased += len(lease["keys"])
             assert service.wait(name, 30.0)
         for name, spec, worker in (("alpha", ALPHA, "miner"),
                                    ("beta", BETA, "smith")):

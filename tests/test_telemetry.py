@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.distrib import SweepCoordinator, connect, worker_process_entry
+from repro.distrib import SweepService, connect, worker_process_entry
 from repro.engine import ExperimentEngine, ProgramCache, ResultStore
 from repro.explore import SweepSpec, execute_sweep
 from repro.sim import Simulator
@@ -57,7 +57,7 @@ def test_disabled_hub_is_a_noop(tmp_path):
     with hub.span("compile", benchmark="crc32") as span_id:
         assert span_id is None
     hub.add("cache.compiles")
-    hub.set_gauge("coordinator.queue_depth", 7)
+    hub.set_gauge("service.queue_depth", 7)
     hub.flush()
     assert hub.snapshot() == {"counters": {}, "gauges": {}}
     assert list(tmp_path.iterdir()) == []  # and certainly no event file
@@ -280,37 +280,40 @@ def test_distributed_telemetry_sigkill_stays_bitwise(tmp_path, clean_hub):
     execute_sweep(TEST_SWEEP, store=mono, engine=fresh_engine(),
                   max_workers=1)
 
-    # --telemetry on the coordinator propagates to spawned workers via the
+    # --telemetry on the service propagates to spawned workers via the
     # environment; the fleet then survives a SIGKILLed worker mid-lease.
     trace = tmp_path / "trace"
-    configure_telemetry(trace, role="coordinator")
+    configure_telemetry(trace, role="service")
     store = ResultStore(tmp_path / "dist")
-    coordinator = SweepCoordinator(TEST_SWEEP, store=store, batch_size=1,
-                                   lease_timeout=30.0, checkpoint_every=1)
-    coordinator.start()
+    service = SweepService(store=store, lease_timeout=30.0,
+                           checkpoint_every=1, drain_when_idle=True)
+    service.submit(TEST_SWEEP, "sweep", batch_size=1)
+    service.start()
     victim = replacement = None
     try:
         victim = SPAWN.Process(
             target=worker_process_entry,
-            args=(coordinator.host, coordinator.port),
+            args=(service.host, service.port),
             kwargs={"name": "victim", "throttle": 60.0}, daemon=True)
         victim.start()
-        wait_until(lambda: coordinator.stats()["leased"] >= 1,
+        wait_until(lambda: service.job_stats("sweep")["leased"] >= 1,
                    message="victim to take a lease")
         victim.kill()
         victim.join(timeout=30.0)
-        wait_until(lambda: coordinator.stats()["requeued_batches"] >= 1,
-                   timeout=60.0, message="the victim's lease to be re-queued")
+        wait_until(
+            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            timeout=60.0, message="the victim's lease to be re-queued")
         replacement = SPAWN.Process(
             target=worker_process_entry,
-            args=(coordinator.host, coordinator.port),
+            args=(service.host, service.port),
             kwargs={"name": "replacement"}, daemon=True)
         replacement.start()
-        assert coordinator.wait(180.0), "sweep did not finish after re-lease"
-        coordinator.summary()
+        assert service.wait("sweep", 180.0), \
+            "sweep did not finish after re-lease"
+        service.summary("sweep")
     finally:
         reset_telemetry(clear_env=True)
-        coordinator.shutdown()
+        service.shutdown()
         for process in (victim, replacement):
             if process is not None:
                 process.join(timeout=10.0)
@@ -324,11 +327,11 @@ def test_distributed_telemetry_sigkill_stays_bitwise(tmp_path, clean_hub):
     # Every per-process event file — including the SIGKILLed victim's
     # partial one — parses line by line, with at most one torn tail each.
     files = sorted(trace.glob("*.events.jsonl"))
-    assert len(files) >= 2  # coordinator + at least one worker
+    assert len(files) >= 2  # service + at least one worker
     events, skipped = load_events(trace)
     assert skipped <= len(files)
     roles = {e.get("role") for e in events if e.get("event") == "meta"}
-    assert {"coordinator", "worker"} <= roles
+    assert {"service", "worker"} <= roles
     assert any(e.get("name") == "lease.roundtrip" for e in events)
 
 
@@ -341,11 +344,12 @@ def mono_bytes_of(store: ResultStore) -> bytes:
 # Live metrics plane
 # --------------------------------------------------------------------------- #
 def test_metrics_request_serves_snapshot_without_hello():
-    coordinator = SweepCoordinator(TEST_SWEEP, batch_size=1)
-    coordinator.start()
+    service = SweepService(drain_when_idle=True)
+    service.submit(TEST_SWEEP, "sweep", batch_size=1)
+    service.start()
     stream = None
     try:
-        stream = connect(coordinator.host, coordinator.port)
+        stream = connect(service.host, service.port)
         stream.send({"type": "metrics"})
         reply = stream.recv()
         assert reply["type"] == "metrics"
@@ -365,4 +369,4 @@ def test_metrics_request_serves_snapshot_without_hello():
     finally:
         if stream is not None:
             stream.close()
-        coordinator.shutdown()
+        service.shutdown()
