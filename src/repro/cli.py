@@ -84,6 +84,7 @@ from typing import List, Optional
 
 from repro.beebs import BENCHMARK_NAMES
 from repro.engine import ExperimentEngine, ResultStore, default_engine
+from repro.placement.optimizer import SOLVERS
 from repro.placement.parameters import FREQUENCY_MODES
 
 FIGURES = ["figure1", "figure2", "figure5", "figure6", "figure9", "case-study",
@@ -106,10 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(defaults to --telemetry DIR); status/cancel: "
                              "the sweep name (status defaults to all sweeps)")
     parser.add_argument("--benchmarks", nargs="*", default=None,
-                        metavar="NAME",
+                        choices=BENCHMARK_NAMES, metavar="NAME",
                         help=f"benchmark subset (default: figure-specific; "
                              f"known: {', '.join(BENCHMARK_NAMES)})")
     parser.add_argument("--levels", nargs="*", default=None, metavar="LEVEL",
+                        choices=ALL_OPT_LEVELS,
                         help="optimization levels, e.g. O2 Os")
     parser.add_argument("--frequency-modes", nargs="*", default=("static",),
                         choices=FREQUENCY_MODES,
@@ -136,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flash/RAM energy-ratio axis of an explore sweep "
                              "(omit for the calibrated Figure 1 tables)")
     parser.add_argument("--solvers", nargs="*", default=None,
-                        choices=("ilp", "greedy", "exhaustive"),
+                        choices=SOLVERS,
                         help="solver axis of an explore sweep (default: ilp)")
     parser.add_argument("--timing-models", nargs="*", default=None,
                         metavar="MODEL",

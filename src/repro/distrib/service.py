@@ -26,8 +26,8 @@ one-machine ``execute_sweep(..., workers=N)`` path.
   ``max_batch`` while the queue is deep and shrinks toward 1 as the
   remaining-work/fleet ratio drops — the hp-adaptive-FEM rebalancing
   insight that a draining queue must be spread thin so no straggler holds
-  the tail (``benchmarks/bench_service.py`` pins the win over the
-  sleep-only bound of fixed cuts).
+  the tail (``tests/test_distrib.py`` pins the win over the sleep-only
+  bound of fixed cuts).
 * **Cancellation.**  ``cancel()`` stops leasing a sweep immediately;
   in-flight leases drain (their results are still accepted and journaled),
   then the journal is compacted so the partial store is a well-formed keyed

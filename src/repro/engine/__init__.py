@@ -40,7 +40,6 @@ from repro.engine.results import (
     records_equal,
     run_record,
     simulation_record,
-    suite_row_record,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "records_equal",
     "run_record",
     "simulation_record",
-    "suite_row_record",
 ]

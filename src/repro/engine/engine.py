@@ -268,10 +268,6 @@ class ExperimentEngine:
                               timing_model=timing_model)
         return self._optimized(spec, self.energy_model)
 
-    def run_spec(self, spec: ExperimentSpec) -> BenchmarkRun:
-        """Run one grid cell under the engine's energy model."""
-        return self.run_cell(spec)
-
     # ------------------------------------------------------------------ #
     # Grids
     # ------------------------------------------------------------------ #

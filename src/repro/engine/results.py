@@ -191,11 +191,6 @@ def run_record(run: BenchmarkRun) -> Dict:
     return record
 
 
-def suite_row_record(row) -> Dict:
-    """Record for a Figure-5 ``SuiteRow`` (anything with ``as_dict``)."""
-    return row.as_dict()
-
-
 def _index_records(records: Iterable[Dict], key_field: str) -> Dict[str, Dict]:
     """Index *records* by *key_field*, rejecting missing keys and conflicts."""
     indexed: Dict[str, Dict] = {}
@@ -473,10 +468,6 @@ class ResultStore:
     def save_runs(self, name: str, runs: Sequence[BenchmarkRun],
                   meta: Optional[Dict] = None) -> Path:
         return self.save(name, [run_record(run) for run in runs], meta=meta)
-
-    def save_suite(self, name: str, rows: Sequence,
-                   meta: Optional[Dict] = None) -> Path:
-        return self.save(name, [suite_row_record(row) for row in rows], meta=meta)
 
 
 def records_equal(first: Sequence[Dict], second: Sequence[Dict]) -> bool:

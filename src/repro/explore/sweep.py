@@ -21,8 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.beebs import BENCHMARK_NAMES
+from repro.codegen import OptLevel
 from repro.engine import ExperimentEngine, ExperimentSpec, default_engine
 from repro.engine.results import PER_RUN_META_KEYS, BenchmarkRun, ResultStore
+from repro.placement.optimizer import SOLVERS
+from repro.placement.parameters import FREQUENCY_MODES
 from repro.sim.energy import EnergyModel, PowerTable
 from repro.sim.pipeline import TimingSpec
 from repro.telemetry import get_telemetry
@@ -171,6 +174,19 @@ class SweepSpec:
                 object.__setattr__(self, name, tuple(value))
             if not getattr(self, name):
                 raise ValueError(f"sweep axis {name!r} must not be empty")
+        # Unknown names fail here, where the sweep is submitted, not in a
+        # worker that leases the cell.  Names are checked, never rewritten,
+        # so a valid spec keeps its cell keys.
+        for axis, known in (("benchmarks", BENCHMARK_NAMES),
+                            ("solvers", SOLVERS),
+                            ("frequency_modes", FREQUENCY_MODES)):
+            unknown = [value for value in getattr(self, axis)
+                       if value not in known]
+            if unknown:
+                raise ValueError(f"unknown {axis} {unknown}; known: "
+                                 f"{', '.join(known)}")
+        for level in self.opt_levels:
+            OptLevel.parse(level)
         # Validate + canonicalize timing models up front (fail fast, and
         # make "pipelined+icache" and its explicit default geometry the
         # same cell identity).

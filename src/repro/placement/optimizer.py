@@ -32,6 +32,9 @@ from repro.sim.profiler import BlockProfile
 from repro.telemetry import get_telemetry
 from repro.transform.relocation import apply_placement
 
+#: The placement solvers ``PlacementConfig.solver`` can name.
+SOLVERS = ("ilp", "greedy", "exhaustive")
+
 
 @dataclass
 class PlacementConfig:
@@ -47,7 +50,7 @@ class PlacementConfig:
     r_spare: Optional[int] = None
     frequency_mode: str = "static"
     loop_weight: int = 10
-    solver: str = "ilp"          # "ilp" | "greedy" | "exhaustive"
+    solver: str = "ilp"          # one of SOLVERS
     max_nodes: int = 400
     stack_reserve: int = 1024
     safety_margin: int = 64

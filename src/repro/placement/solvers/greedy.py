@@ -6,10 +6,8 @@ execution-time constraints (Equations 7 and 9) stay satisfied.  Unlike the
 ILP, the greedy pass cannot discover the "cluster small joining blocks to
 avoid instrumentation" behaviour the paper highlights.
 
-Candidate evaluation uses :class:`~repro.placement.cost_model.IncrementalPlacement`
-by default, so each trial costs O(deg(block)) instead of a full O(n) model
-evaluation; ``incremental=False`` keeps the original full-evaluation path
-(the before/after subject of ``benchmarks/bench_explore.py``).
+Candidate evaluation uses :class:`~repro.placement.cost_model.IncrementalPlacement`,
+so each trial costs O(deg(block)) instead of a full O(n) model evaluation.
 """
 
 from __future__ import annotations
@@ -39,30 +37,15 @@ def _ranked_candidates(model: PlacementCostModel) -> List[str]:
 
 
 def greedy_placement(model: PlacementCostModel, r_spare: float,
-                     x_limit: float, incremental: bool = True) -> Set[str]:
+                     x_limit: float) -> Set[str]:
     """Select a feasible block set by greedy energy-per-byte ranking."""
-    candidates = _ranked_candidates(model)
-
-    if incremental:
-        placement = IncrementalPlacement(model)
-        current_energy = placement.energy_j
-        for key in candidates:
-            energy, time_ratio, ram_bytes = placement.preview_totals(key)
-            if ram_bytes > r_spare or time_ratio > x_limit:
-                continue
-            if energy < current_energy:
-                placement.add(key)
-                current_energy = placement.energy_j
-        return set(placement.ram)
-
-    ram: Set[str] = set()
-    current_energy = model.baseline_energy()
-    for key in candidates:
-        trial = ram | {key}
-        estimate = model.evaluate(trial)
-        if estimate.ram_bytes > r_spare or estimate.time_ratio > x_limit:
+    placement = IncrementalPlacement(model)
+    current_energy = placement.energy_j
+    for key in _ranked_candidates(model):
+        energy, time_ratio, ram_bytes = placement.preview_totals(key)
+        if ram_bytes > r_spare or time_ratio > x_limit:
             continue
-        if estimate.energy_j < current_energy:
-            ram = trial
-            current_energy = estimate.energy_j
-    return ram
+        if energy < current_energy:
+            placement.add(key)
+            current_energy = placement.energy_j
+    return set(placement.ram)

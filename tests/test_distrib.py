@@ -21,6 +21,7 @@ from repro.distrib import (
     ProtocolError,
     ServiceError,
     SweepService,
+    adaptive_batch,
     connect,
     execute_sweep_distributed,
     format_eta,
@@ -33,6 +34,11 @@ from repro.explore import SweepSpec, execute_sweep
 #: Same 4-cell sweep the persistence tests use (~1 s monolithic).
 TEST_SWEEP = SweepSpec(benchmarks=("crc32", "fdct"), x_limits=(1.1, 1.5))
 
+#: TEST_SWEEP under two energy calibrations: 8 cells, so a 2-way static
+#: partition would park 4 of them on a straggler.
+STRAGGLER_SWEEP = SweepSpec(benchmarks=("crc32", "fdct"), x_limits=(1.1, 1.5),
+                            flash_ram_ratios=(None, 2.5))
+
 #: Spawn, not fork: the service under test runs server threads, and
 #: forking a threaded parent can deadlock the child on inherited locks.
 SPAWN = multiprocessing.get_context("spawn")
@@ -42,15 +48,27 @@ def fresh_engine() -> ExperimentEngine:
     return ExperimentEngine(cache=ProgramCache())
 
 
+def run_monolithic(sweep, directory):
+    """A clean monolithic run of *sweep*, stored, plus its per-cell wall
+    time."""
+    store = ResultStore(directory)
+    started = time.monotonic()
+    execute_sweep(sweep, store=store, engine=fresh_engine(), max_workers=1)
+    return store, (time.monotonic() - started) / sweep.size
+
+
 @pytest.fixture(scope="module")
 def monolithic(tmp_path_factory):
     """A clean monolithic run of TEST_SWEEP plus its per-cell wall time."""
-    store = ResultStore(tmp_path_factory.mktemp("mono"))
-    started = time.monotonic()
-    execute_sweep(TEST_SWEEP, store=store, engine=fresh_engine(),
-                  max_workers=1)
-    per_cell = (time.monotonic() - started) / TEST_SWEEP.size
-    return store, per_cell
+    return run_monolithic(TEST_SWEEP, tmp_path_factory.mktemp("mono"))
+
+
+@pytest.fixture(scope="module")
+def straggler_monolithic(tmp_path_factory):
+    """A clean monolithic run of STRAGGLER_SWEEP plus its per-cell wall
+    time."""
+    return run_monolithic(STRAGGLER_SWEEP,
+                          tmp_path_factory.mktemp("straggler-mono"))
 
 
 def draining_service(sweep, store=None, **options) -> SweepService:
@@ -303,24 +321,26 @@ def test_result_for_unknown_cell_is_rejected():
 # --------------------------------------------------------------------------- #
 # Dynamic balancing beats static sharding on a straggler fleet
 # --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("batch_size", [1, 4], ids=["batch-1", "batch-4"])
 def test_straggler_fleet_beats_static_sharding_and_stays_bitwise(
-        tmp_path, monolithic):
-    mono_store, per_cell = monolithic
-    total = TEST_SWEEP.size
+        tmp_path, straggler_monolithic, batch_size):
+    mono_store, per_cell = straggler_monolithic
+    total = STRAGGLER_SWEEP.size
     # The slow worker sleeps `throttle` per cell.  Under a static 2-way
-    # partition it would own ceil(total/2) cells, so its *sleep time alone*
-    # bounds a static run from below at 2*throttle.  Dynamic leasing should
-    # instead hand almost everything to the fast worker: the whole run
-    # costs about one straggler cell plus the fast worker's compute, which
-    # stays under the static bound as long as throttle > spawn + total*c —
-    # hence the self-calibrating margin below.
+    # partition it would own ceil(total/2) = 4 cells, and a fixed cut of 4
+    # would park a full lease on it, so either way its *sleep time alone*
+    # bounds the run from below at 4*throttle.  Leasing should instead hand
+    # almost everything to the fast worker: the whole run costs at most a
+    # first lease of straggler cells plus the fast worker's compute, which
+    # stays under the bound as long as throttle > spawn + total*c — hence
+    # the self-calibrating margin below.
     throttle = max(2.0, 4 * per_cell + 4.0)
     static_lower_bound = (total - total // 2) * throttle
 
     store = ResultStore(tmp_path / "straggler")
     started = time.monotonic()
     summary = execute_sweep_distributed(
-        TEST_SWEEP, store=store, workers=2, batch_size=1,
+        STRAGGLER_SWEEP, store=store, workers=2, batch_size=batch_size,
         worker_options=[{"name": "slow", "throttle": throttle},
                         {"name": "fast"}])
     dynamic_wall = time.monotonic() - started
@@ -332,6 +352,12 @@ def test_straggler_fleet_beats_static_sharding_and_stays_bitwise(
     slow_cells = sum(count for worker, count in counts.items()
                      if worker.startswith("slow"))
     assert slow_cells < total  # the fast worker picked up the slack
+    if batch_size > 1:
+        # If the straggler connects first it sees a fleet of one, so its
+        # first lease is the largest it can get; the fast worker drains
+        # the rest while it sleeps.
+        assert slow_cells <= adaptive_batch(total, fleet=1,
+                                            max_batch=batch_size)
     assert store.path_for("sweep").read_bytes() == \
         mono_store.path_for("sweep").read_bytes()
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.engine.cache as cache_module
+from repro.beebs import get_benchmark
 from repro.codegen import CompileOptions, compile_source
 from repro.engine import (
     ExperimentEngine,
@@ -14,7 +15,7 @@ from repro.engine import (
     records_equal,
     run_record,
 )
-from repro.evaluation.figure5 import evaluate_suite
+from repro.evaluation.figure5 import SuiteRow, evaluate_suite, suite_specs
 from repro.explore import (
     SweepSpec,
     cell_record,
@@ -105,8 +106,41 @@ def test_mutable_copy_preserves_register_identity_and_isolation():
 
 
 # --------------------------------------------------------------------------- #
-# BEEBS grid regression: correctness and decode-once parity
+# BEEBS grid regression: the engine against the seed pipeline
 # --------------------------------------------------------------------------- #
+def seed_compile(name: str, level: str):
+    benchmark = get_benchmark(name)
+    options = CompileOptions.for_level(level, program_name=benchmark.name)
+    return compile_source(benchmark.source, options)
+
+
+def seed_cell(spec) -> SuiteRow:
+    """One Figure 5 cell as the seed pipeline ran it: compile twice,
+    interpreted simulator, no caching."""
+    baseline = Simulator(seed_compile(spec.benchmark, spec.opt_level),
+                         decode_once=False).run()
+    program = seed_compile(spec.benchmark, spec.opt_level)
+    config = PlacementConfig(x_limit=spec.x_limit, r_spare=spec.r_spare,
+                             frequency_mode=spec.frequency_mode,
+                             solver=spec.solver)
+    profile = baseline.profile if spec.frequency_mode == "profile" else None
+    solution = FlashRAMOptimizer(program, config=config).optimize(
+        profile=profile)
+    optimized = Simulator(program, decode_once=False).run()
+    assert optimized.return_value == baseline.return_value
+    return SuiteRow(
+        benchmark=spec.benchmark,
+        opt_level=spec.opt_level,
+        frequency_mode=spec.frequency_mode,
+        energy_change=optimized.energy_j / baseline.energy_j - 1.0,
+        time_change=optimized.cycles / baseline.cycles - 1.0,
+        power_change=(optimized.average_power_w
+                      / baseline.average_power_w - 1.0),
+        ram_bytes=solution.estimate.ram_bytes if solution.estimate else 0,
+        blocks_moved=len(solution.ram_blocks),
+    )
+
+
 @pytest.mark.parametrize("name,level", SAMPLE_GRID)
 def test_grid_sample_optimized_matches_baseline_and_seed_simulator(name, level):
     engine = fresh_engine()
@@ -116,12 +150,19 @@ def test_grid_sample_optimized_matches_baseline_and_seed_simulator(name, level):
     assert run.optimized.return_value == run.baseline.return_value
     assert run.solution is not None and run.solution.ram_blocks
 
-    # The decode-once fast path must reproduce the seed (interpreted)
-    # simulator's numbers exactly, on both the pristine and the transformed
-    # program.
+    # The engine (one compile, shared programs, memoised superblocked
+    # simulations) must reproduce the seed pipeline's Figure 5 rows exactly,
+    # with estimated and with profiled block frequencies.
+    modes = ("static", "profile")
+    rows = evaluate_suite(benchmarks=[name], levels=[level],
+                          frequency_modes=modes, engine=engine, max_workers=1)
+    assert [row.as_dict() for row in rows] == \
+        [seed_cell(spec).as_dict()
+         for spec in suite_specs([name], [level], modes)]
+
+    # The decode-once fast path must reproduce the interpreted simulator's
+    # numbers exactly on the pristine and on a transformed program.
     pristine = engine.compile_benchmark(name, level)
-    assert result_tuple(Simulator(pristine).run()) == \
-        result_tuple(Simulator(pristine, decode_once=False).run())
     assert result_tuple(run.baseline) == \
         result_tuple(Simulator(pristine, decode_once=False).run())
 
@@ -155,7 +196,7 @@ def test_sequential_grid_matches_individual_runs_bitwise():
 
     single_engine = fresh_engine()
     for spec, run in zip(specs, grid_runs):
-        single = single_engine.run_spec(spec)
+        single = single_engine.run_cell(spec)
         assert run_record(single) == run_record(run)
 
 

@@ -119,6 +119,13 @@ def test_scaled_energy_model_hits_requested_ratio():
 def test_sweep_spec_rejects_empty_axes_and_orders_cells():
     with pytest.raises(ValueError):
         SweepSpec(benchmarks=())
+    # Unknown names fail at construction, before any cell runs.
+    for axes, message in ((dict(benchmarks=("nosuch",)), "benchmarks"),
+                          (dict(opt_levels=("O9",)), "optimization level"),
+                          (dict(solvers=("nope",)), "solvers"),
+                          (dict(frequency_modes=("bogus",)), "frequency_modes")):
+        with pytest.raises(ValueError, match=f"unknown {message}"):
+            SweepSpec(**axes)
     spec = SweepSpec(benchmarks=["crc32", "fdct"], x_limits=[1.1, 1.5])
     cells = spec.cells()
     assert len(cells) == spec.size == 4

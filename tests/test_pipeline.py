@@ -203,6 +203,41 @@ def test_pipelined_sweep_records_tag_timing_model():
     assert by_model["pipelined"]["time_change"] < by_model["flat"]["time_change"]
 
 
+def test_pipelined_clock_shifts_the_placement_frontier():
+    """The frontier of a Figure 5-style grid under each timing model."""
+    sweep = SweepSpec(benchmarks=("crc32", "fdct", "2dfir"),
+                      x_limits=(1.05, 1.1, 1.5, 2.0),
+                      timing_models=("flat", "pipelined", "pipelined+icache"))
+    result = run_sweep(sweep, engine=ExperimentEngine(cache=ProgramCache(),
+                                                      max_workers=1))
+    by_model = {}
+    for record in result.records:
+        by_model.setdefault(record.get("timing_model", "flat"),
+                            []).append(record)
+    flat, pipe, cached = (by_model[model] for model in
+                          ("flat", "pipelined", "pipelined+icache:16x16"))
+    assert len(flat) == len(pipe) == len(cached) == sweep.size // 3
+
+    def mean(cells, field):
+        return sum(record[field] for record in cells) / len(cells)
+
+    # Wait states slow the baseline; the icache wins most of it back.
+    assert mean(pipe, "baseline_cycles") > mean(flat, "baseline_cycles")
+    assert mean(cached, "baseline_cycles") < mean(pipe, "baseline_cycles")
+    # Under the pipelined clock RAM placement buys time: no cell slows down
+    # more than its flat twin, and the mean time change goes negative.
+    for twin, record in zip(flat, pipe):
+        assert (twin["benchmark"], twin["x_limit"]) == \
+            (record["benchmark"], record["x_limit"])
+        assert record["time_change"] <= twin["time_change"] + 1e-12
+    assert mean(pipe, "time_change") < 0
+    assert mean(pipe, "energy_change") < mean(flat, "energy_change") < 0
+    # The icache absorbs flash fetch energy, so it keeps under half of the
+    # uncached pipeline's mean energy savings.
+    assert (abs(mean(cached, "energy_change"))
+            < 0.5 * abs(mean(pipe, "energy_change")))
+
+
 # --------------------------------------------------------------------------- #
 # Placement cost model under pipelined timing
 # --------------------------------------------------------------------------- #

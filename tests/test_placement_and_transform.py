@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import CompileOptions, compile_source
+from repro.engine import ProgramCache
 from repro.machine.blocks import TerminatorKind
 from repro.placement import (
     FlashRAMOptimizer,
@@ -22,6 +23,7 @@ from repro.placement.solvers import (
     greedy_placement,
     solve_ilp,
 )
+from repro.placement.solvers.greedy import _ranked_candidates
 from repro.placement.solvers.lp import LPStatus
 from repro.sim import EnergyModel, Simulator
 from repro.transform import apply_placement, figure4_cost_table, instrumentation_overhead
@@ -274,12 +276,36 @@ def test_greedy_energy_never_below_ilp_across_knobs():
                 <= model.evaluate(greedy).energy_j + 1e-12), (r_spare, x_limit)
 
 
+def full_evaluation_greedy(model, r_spare, x_limit):
+    """Reference: the pre-incremental greedy pass, one full model evaluation
+    per candidate, over the same ranking."""
+    ram, current_energy = set(), model.baseline_energy()
+    for key in _ranked_candidates(model):
+        trial = ram | {key}
+        estimate = model.evaluate(trial)
+        if estimate.ram_bytes > r_spare or estimate.time_ratio > x_limit:
+            continue
+        if estimate.energy_j < current_energy:
+            ram, current_energy = trial, estimate.energy_j
+    return ram
+
+
 def test_greedy_incremental_matches_full_evaluation():
     model = make_model()
     for r_spare, x_limit in [(64, 1.1), (256, 1.3), (4096, 2.0)]:
-        fast = greedy_placement(model, r_spare, x_limit, incremental=True)
-        full = greedy_placement(model, r_spare, x_limit, incremental=False)
-        assert fast == full, (r_spare, x_limit)
+        assert (greedy_placement(model, r_spare, x_limit)
+                == full_evaluation_greedy(model, r_spare, x_limit)), \
+            (r_spare, x_limit)
+    # The BEEBS kernel with the most basic blocks: at its derived R_spare
+    # and X_limit 1.5, then with the time bound and the RAM budget binding.
+    optimizer = FlashRAMOptimizer(ProgramCache().get_benchmark_mutable(
+        "cubic", "O2"), config=PlacementConfig())
+    model = optimizer.build_cost_model()
+    derived = optimizer.derive_r_spare()
+    for r_spare, x_limit in [(derived, 1.5), (derived, 1.001), (128, 1.5)]:
+        ram = greedy_placement(model, r_spare, x_limit)
+        assert ram and ram == full_evaluation_greedy(model, r_spare, x_limit), \
+            (r_spare, x_limit)
 
 
 def test_ilp_incumbent_values_are_exactly_integral():

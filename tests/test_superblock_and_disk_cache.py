@@ -17,7 +17,7 @@ import warnings
 
 import pytest
 
-from repro.beebs import get_benchmark
+from repro.beebs import BENCHMARK_NAMES, get_benchmark
 from repro.codegen import CompileOptions, compile_source
 from repro.engine.cache import (
     CACHE_CODE_VERSION,
@@ -32,15 +32,9 @@ from repro.placement import extract_parameters
 from repro.sim import Simulator
 from repro.transform import apply_placement
 
-#: Benchmarks × levels exercised by the bitwise-parity tests — kept small
-#: because the interpreted oracle is slow, but covering both optimization
-#: levels and a mix of control/memory/arithmetic heavy kernels.
-PARITY_GRID = [
-    ("crc32", "O2"),
-    ("fdct", "Os"),
-    ("2dfir", "O2"),
-    ("int_matmult", "Os"),
-]
+#: Every BEEBS kernel at both Figure 5 optimization levels.
+PARITY_GRID = [(name, level) for name in BENCHMARK_NAMES
+               for level in ("O2", "Os")]
 
 TINY_SOURCE = "int main(void) { int x = 40; return x + 2; }"
 

@@ -10,6 +10,7 @@ Prometheus-renderable snapshot without joining the fleet.
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -253,9 +254,18 @@ def test_local_sweep_is_byte_identical_with_telemetry(tmp_path, clean_hub):
         plain.path_for("sweep").read_bytes()
     events, skipped = load_events(tmp_path / "trace")
     assert skipped == 0
-    names = {e.get("name") for e in events if e.get("event") == "span"}
+    spans = Counter(e.get("name") for e in events if e.get("event") == "span")
     assert {"cell", "compile", "placement.solve", "simulate",
-            "store.checkpoint"} <= names
+            "store.checkpoint"} <= set(spans)
+    # Telemetry's cost is its event count: per cell one `cell` and one
+    # `placement.solve` span, at most two `compile` and two `simulate`
+    # spans, plus one checkpoint per store.  A per-block or per-instruction
+    # span would break the bound.
+    cells = SMALL_SWEEP.size
+    assert spans["cell"] == spans["placement.solve"] == cells
+    assert spans["compile"] <= 2 * cells and spans["simulate"] <= 2 * cells
+    assert spans["store.checkpoint"] == 1
+    assert sum(spans.values()) <= 6 * cells + 1
     stats = trace_stats(tmp_path / "trace")
     # One simulation per distinct baseline and per distinct placement; every
     # other simulation a cell needs is priced from the engine's memo.
