@@ -24,6 +24,14 @@ from repro.sim.pipeline import TIMING_MODELS
 
 REFERENCE_STORE = os.path.join(os.path.dirname(__file__), "data",
                                "reference_flat_sweep.json")
+#: Pipelined twin of REFERENCE_STORE, written by ``repro-eval explore
+#: --benchmarks 2dfir dijkstra --x-limits 1.05 1.5 --solvers ilp greedy
+#: --timing-models pipelined pipelined+icache pipelined+icache:32x8
+#: --flash-ram-ratios --workers 1``.  Its greedy cells run hundreds of
+#: ``it``-predicated long branches, so it pins the fetch stage's predication
+#: paths as well as the icache and hazard accounting.
+PIPELINED_REFERENCE_STORE = os.path.join(os.path.dirname(__file__), "data",
+                                         "reference_pipelined_sweep.json")
 
 
 def simulate(name="crc32", timing_model="flat"):
@@ -180,13 +188,22 @@ def test_cell_key_flat_omission_keeps_historical_keys():
     assert cell_key(pipelined) != cell_key(base)
 
 
-def test_flat_store_bytes_identical_to_reference(tmp_path):
-    reference = json.load(open(REFERENCE_STORE))
+def rerun_store_matches(reference_path, tmp_path):
+    """Re-run the sweep a committed store records; compare the bytes."""
+    reference = json.load(open(reference_path))
     sweep = SweepSpec.from_meta(reference["meta"])
     execute_sweep(sweep, store=ResultStore(str(tmp_path)), name="sweep",
                   engine=ExperimentEngine(cache=ProgramCache(), max_workers=1))
-    assert filecmp.cmp(str(tmp_path / "sweep.json"), REFERENCE_STORE,
+    return filecmp.cmp(str(tmp_path / "sweep.json"), reference_path,
                        shallow=False)
+
+
+def test_flat_store_bytes_identical_to_reference(tmp_path):
+    assert rerun_store_matches(REFERENCE_STORE, tmp_path)
+
+
+def test_pipelined_store_bytes_identical_to_reference(tmp_path):
+    assert rerun_store_matches(PIPELINED_REFERENCE_STORE, tmp_path)
 
 
 def test_pipelined_sweep_records_tag_timing_model():
