@@ -86,6 +86,7 @@ from repro.beebs import BENCHMARK_NAMES
 from repro.engine import ExperimentEngine, ResultStore, default_engine
 from repro.placement.optimizer import SOLVERS
 from repro.placement.parameters import FREQUENCY_MODES
+from repro.sim.pipeline import TIMING_MODELS, TimingSpec
 
 FIGURES = ["figure1", "figure2", "figure5", "figure6", "figure9", "case-study",
            "explore", "merge", "report", "work", "analyze",
@@ -93,6 +94,14 @@ FIGURES = ["figure1", "figure2", "figure5", "figure6", "figure9", "case-study",
 
 #: Every optimization level the compiler driver accepts, in pipeline order.
 ALL_OPT_LEVELS = ("O0", "O1", "O2", "O3", "Os")
+
+
+def _timing_model(value: str) -> str:
+    """``--timing-models`` type: the canonical name; unknown ones exit 2."""
+    try:
+        return TimingSpec.parse(value).name
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,10 +150,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=SOLVERS,
                         help="solver axis of an explore sweep (default: ilp)")
     parser.add_argument("--timing-models", nargs="*", default=None,
-                        metavar="MODEL",
-                        help="timing-model axis of an explore sweep: flat, "
-                             "pipelined, pipelined+icache or "
-                             "pipelined+icache:LxB (default: flat)")
+                        type=_timing_model, metavar="MODEL",
+                        help=f"timing-model axis of an explore sweep: "
+                             f"{', '.join(TIMING_MODELS)} or "
+                             f"pipelined+icache:LxB (default: flat)")
     parser.add_argument("--workers", type=int, default=None,
                         help="in-process fan-out for grids (default: cpu "
                              "count; not for work, which is sequential)")

@@ -1,10 +1,19 @@
 """Optimization-level definitions (mirroring the GCC levels used by the paper).
 
 The paper evaluates its flash-RAM placement at ``-O0``, ``-O1``, ``-O2``,
-``-O3`` and ``-Os`` of GCC 4.8.2.  Our pipelines are necessarily simpler, but
-preserve the property that matters to the placement problem: different levels
-produce differently shaped code (more/fewer blocks, spills, memory traffic),
-so the placement ILP faces a different instance at each level.
+``-O3`` and ``-Os`` of GCC 4.8.2.  Our pipelines are necessarily simpler.
+Levels can produce differently shaped code (more/fewer blocks, spills, memory
+traffic), but on the BEEBS kernels several levels converge on one program,
+identical in instruction text and simulated cycles, so the placement ILP
+faces the same instance at each of them:
+
+* 2dfir and blowfish: O2, O3 and Os;
+* crc32 and cubic: O1, O2 and O3;
+* dijkstra: O2 and O3;
+* fdct, int_matmult and sha: O2 and Os.
+
+Only float_matmult and rijndael differ at every level; the 50 (kernel, level)
+pairs compile to 38 distinct programs.
 
 * ``O0`` — no IR optimization, spill-everything register allocation.
 * ``O1`` — constant folding, block-local copy propagation, DCE, CFG cleanup,

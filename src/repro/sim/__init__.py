@@ -11,8 +11,9 @@ Two timing models are available (``repro.sim.pipeline``): the default
 ``flat`` accounting the paper calibrates against, and an opt-in
 ``pipelined`` model with fetch/execute overlap, branch-flush and load-use
 hazards, and an optional direct-mapped instruction cache in front of flash.
-``flat`` runs are bitwise identical whether or not the pipelined code path
-exists; select a model per run with ``Simulator(..., timing_model=...)``.
+Both run on one decode-once loop, whose pipelined stages never change a
+``flat`` result: the committed flat and pipelined reference stores pin both
+bit for bit.  Select a model per run with ``Simulator(..., timing_model=...)``.
 """
 
 from repro.sim.memory import MemorySystem, MemoryError_

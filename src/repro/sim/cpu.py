@@ -9,23 +9,26 @@ cycle counts with RAM-contention stalls, per-cycle power depending on the
 fetch memory, per-block execution counts and return values for correctness
 checks.
 
-Two flat execution strategies share identical observable behaviour:
+There are two execution strategies:
 
-* the **superblock fast path** (default): blocks are lazily lowered to
-  predecoded instruction records (:mod:`repro.sim.decode`) with pre-bound
-  handlers, pre-resolved operands and precomputed cycle/energy metadata,
-  cached on the blocks themselves; hot blocks are then chained along their
-  observed successor paths into trace-compiled superblocks
-  (:mod:`repro.sim.superblock`) with batched accounting and side-exit
-  guards;
-* the **interpreted reference path** (``decode_once=False``): the original
-  per-instruction dispatch, kept as the bit-exact oracle the regression tests
-  compare the fast path against.
+* the **decode-once loop** (default), for every timing model: blocks are
+  lazily lowered to predecoded instruction records (:mod:`repro.sim.decode`)
+  with pre-bound handlers, pre-resolved operands and precomputed
+  cycle/energy metadata, cached on the blocks themselves.  Under flat timing
+  hot blocks are chained along their observed successor paths into
+  trace-compiled superblocks (:mod:`repro.sim.superblock`) with batched
+  accounting and side-exit guards; under pipelined timing
+  (:mod:`repro.sim.pipeline`) the loop runs its fetch, hazard and flush
+  stages per record instead;
+* the **interpreted reference path** (``decode_once=False``, flat timing
+  only): the original per-instruction dispatch, kept as the bit-exact oracle
+  the regression tests compare the fast path against.
 
-Both paths produce bitwise-identical :class:`SimulationResult` values.  To
-make that hold under batching, energy is accounted uniformly as *event
-counts* per ``(cycles, fetch_region, instr_class, data_region)`` key, kept
-on the result, and reduced to a float in one deterministic pass
+Under flat timing both paths produce bitwise-identical
+:class:`SimulationResult` values.  To make that hold under batching, energy
+is accounted uniformly as *event counts* per ``(cycles, fetch_region,
+instr_class, data_region)`` key, kept on the result, and reduced to a float
+in one deterministic pass
 (:meth:`SimulationResult.priced`): identical counts give identical floats
 no matter which path — or what grouping — produced them.  Since nothing
 else in a run depends on the energy model, one simulation can be priced
@@ -40,13 +43,19 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.isa.conditions import Cond, cond_holds
 from repro.isa.instructions import Imm, InstrClass, MachineInstr, Opcode, RegList, Sym
 from repro.isa.registers import ARG_REGS, LR, PC, SP, Reg
-from repro.isa.timing import RAM_CONTENTION_STALL, cycles_for, instr_class
+from repro.isa.timing import (
+    FLASH_WAIT_STATES,
+    LOAD_USE_STALL,
+    RAM_CONTENTION_STALL,
+    cycles_for,
+    instr_class,
+)
 from repro.machine.blocks import MachineBlock, MachineFunction
 from repro.machine.program import MachineProgram
 from repro.sim.decode import SimulationError, predecode, resolve_symbol
 from repro.sim.energy import EnergyModel
 from repro.sim.memory import MemorySystem
-from repro.sim.pipeline import TimingSpec, run_pipelined
+from repro.sim.pipeline import TimingSpec
 from repro.sim.profiler import BlockProfile
 from repro.sim.superblock import (
     HOT_THRESHOLD,
@@ -128,8 +137,8 @@ class Simulator:
     ``"flat"`` keeps the two bit-exact execution paths described in the
     module docstring; ``"pipelined"`` (optionally with ``+icache[:LxB]``)
     switches to the 3-stage fetch/decode/execute accounting of
-    :mod:`repro.sim.pipeline`, which always runs its own decode-once loop
-    because superblocks batch statically precomputed *flat* cycles.
+    :mod:`repro.sim.pipeline`, which the decode-once loop runs without
+    superblocks, because they batch statically precomputed *flat* cycles.
     ``decode_once=False`` selects the flat interpreted oracle, so it is
     rejected with any other timing model.
     """
@@ -231,7 +240,7 @@ class Simulator:
         path bumps exactly one energy-event count and one section bucket per
         retired instruction/cycle, so the event total must equal the
         instruction total and the section buckets must sum to the cycle
-        total.  Batched superblock accounting, the pipelined loop and any
+        total.  Batched superblock accounting, the pipelined stages and any
         future path all feed the same counters — a silent drift between
         them would quietly skew ``energy_j``, which is the paper's core
         measurement, so the reconciliation is checked on every run (two
@@ -288,30 +297,41 @@ class Simulator:
         self.registers[SP.index] = self.program.ram.end
         self.registers[LR.index] = EXIT_TOKEN
 
-        if not self.timing.is_flat:
-            return run_pipelined(self, entry)
         if not self.decode_once:
             return self._run_interpreted(entry)
-        return self._run_superblocked(entry)
+        return self._run_decoded(entry)
 
     # ------------------------------------------------------------------ #
-    # Superblock fast path: decode-once plus trace compilation of hot paths
+    # The decode-once loop: superblocks (flat) or pipeline stages (pipelined)
     # ------------------------------------------------------------------ #
-    def _run_superblocked(self, entry: str) -> SimulationResult:
-        """The decode-once loop, extended with trace-compiled superblocks.
+    def _run_decoded(self, entry: str) -> SimulationResult:
+        """The one decode-once loop, for every timing model.
 
-        Every arrival at the *start* of a block goes through the dispatch
-        prologue: an installed superblock is executed directly; otherwise the
-        block's hotness counter is bumped and, past :data:`HOT_THRESHOLD`,
-        the path execution takes next is recorded and compiled
-        (:func:`build_superblock`).  Blocks without superblocks — and block
-        tails re-entered mid-block after a call returns — run on the generic
-        decode-once machinery below, one predecoded record at a time.
+        Blocks are lowered once to predecoded records (:func:`predecode`) and
+        run one record at a time.  Every control transfer — a taken branch,
+        a call or return, a fall-through, a superblock's exit — goes through
+        one handler at the top of the loop.
+
+        Under flat timing the handler dispatches at every arrival at the
+        *start* of a block: an installed superblock is executed directly;
+        otherwise the block's hotness counter is bumped and, past
+        :data:`HOT_THRESHOLD`, the path execution takes next is recorded and
+        compiled (:func:`build_superblock`).  Blocks without superblocks —
+        and block tails re-entered mid-block after a call returns — run on
+        the per-record path.
+
+        Under pipelined timing superblocks never form, because they batch
+        flat cycles.  Three stages of :mod:`repro.sim.pipeline`, inline and
+        each behind the ``pipelined`` local, extend the per-record path
+        instead: the fetch stage (flash wait-state overlap or the
+        direct-mapped icache), the load-use hazard and the flush on taken
+        transfers.
         """
         program = self.program
         functions = program.functions
         max_instructions = self.max_instructions
-        superblocks, hot_counts = program.superblock_state()
+        timing = self.timing
+        pipelined = not timing.is_flat
 
         profile = BlockProfile()
         total_cycles = 0
@@ -320,19 +340,11 @@ class Simulator:
         counts_get = energy_counts.get
         cycles_by_section = {"flash": 0, "ram": 0}
 
-        # Superblock telemetry: counted in plain locals (the dispatch prologue
-        # is hot) and published to the hub once, at finish.
-        sb_compiles = 0
-        sb_dispatches = 0
-        sb_instructions = 0
-
-        def publish_counters() -> None:
-            hub = get_telemetry()
-            if hub.enabled:
-                hub.add("sim.superblock.compiles", sb_compiles)
-                hub.add("sim.superblock.dispatches", sb_dispatches)
-                hub.add("sim.superblock.instructions", sb_instructions)
-
+        # Flat timing: superblocks, and their telemetry counted in plain
+        # locals (the dispatch is hot) and published once, at exit.
+        superblocks, hot_counts = ((None, None) if pipelined
+                                   else program.superblock_state())
+        sb_compiles = sb_dispatches = sb_instructions = 0
         # Trace recording state: payload list of the trace being recorded
         # (None when idle) plus a membership set for O(1) cycle detection.
         trace: Optional[List[Tuple[str, str]]] = None
@@ -347,143 +359,194 @@ class Simulator:
             trace = None
             trace_set = None
 
-        function_name = entry
-        block = functions[entry].entry_block
-        payload = (entry, block.name)
-        decoded = predecode(program, block)
-        records = decoded.records
-        fetch_region = decoded.fetch_region
-        fetch_is_ram = decoded.fetch_is_ram
-        index = 0
-        entering = True
+        # Pipelined timing: the fetch stage's state.  ``overlap`` is the
+        # fetch cycles the previous instruction's execute time can hide,
+        # ``load_dst`` the destination register of an immediately preceding
+        # load (else -1) and ``stall`` this fetch's extra cycles.
+        overlap = 0
+        load_dst = -1
+        stall = 0
+        lines = timing.icache_lines
+        tags = [-1] * lines
+        icache_hits = icache_misses = 0
+        line_shift = timing.icache_line_bytes.bit_length() - 1
+        miss_penalty = timing.miss_penalty
+        # Block key -> the icache line of each of the block's instructions.
+        line_memo: Dict[str, List[int]] = {}
+        line_ids = None
+
+        transfer = ("block", (entry, functions[entry].entry_block.name))
         pending_cond: Optional[Cond] = None
-        block_cycle_start = 0
-        current_block_key = program.block_key(block)
 
         while True:
-            if entering:
-                # ---- block-entry dispatch: superblocks and trace state ---- #
-                entering = False
-                sb = superblocks.get(payload)
-                if sb is not None:
+            if transfer is not None:
+                # ---- control transfer ------------------------------------ #
+                kind, target = transfer
+                transfer = None
+                block_cycle_start = total_cycles
+                if kind == "exit":
+                    hub = get_telemetry()
+                    if hub.enabled:
+                        if lines:
+                            hub.add("sim.icache.hits", icache_hits)
+                            hub.add("sim.icache.misses", icache_misses)
+                        if not pipelined:
+                            hub.add("sim.superblock.compiles", sb_compiles)
+                            hub.add("sim.superblock.dispatches", sb_dispatches)
+                            hub.add("sim.superblock.instructions",
+                                    sb_instructions)
+                    return self._finish(total_cycles, total_instructions,
+                                        energy_counts, profile,
+                                        cycles_by_section)
+                if kind == "block":
+                    function_name, target_block = target
+                    payload = target
+                    block = functions[function_name].blocks[target_block]
+                    index = 0
+                    entering = not pipelined
+                elif kind == "call":
+                    # The superblock executor side-exits on call transfers, so
+                    # a chain crossing one could never be followed: end the
+                    # trace.
                     if trace is not None:
-                        # Chain the recorded prefix up to (not into) the
-                        # existing superblock; execution continues inside it.
                         compile_trace(False)
-                    sb_dispatches += 1
-                    entered_at = total_instructions
-                    kind, target, total_cycles, total_instructions = \
-                        execute_superblock(self, sb, superblocks,
-                                           total_cycles, total_instructions,
-                                           cycles_by_section, energy_counts,
-                                           profile, max_instructions)
-                    sb_instructions += total_instructions - entered_at
-                    block_cycle_start = total_cycles
-                    if kind == "exit":
-                        publish_counters()
-                        return self._finish(total_cycles, total_instructions,
-                                            energy_counts, profile,
-                                            cycles_by_section)
-                    if kind == "block":
-                        function_name, target_block = target
-                        payload = target
-                        block = functions[function_name].blocks[target_block]
-                        index = 0
-                        entering = True
-                    elif kind == "call":
-                        callee, return_site = target
-                        self.registers[LR.index] = \
-                            self._intern_return_site(return_site)
-                        function_name = callee
-                        block = functions[callee].entry_block
-                        payload = (callee, block.name)
-                        index = 0
-                        entering = True
-                    elif kind == "return":
-                        site_function, site_block, site_index = target
-                        function_name = site_function
-                        block = functions[site_function].blocks[site_block]
-                        payload = (site_function, site_block)
-                        index = site_index
-                    else:  # pragma: no cover - defensive
-                        raise SimulationError(f"unknown transfer kind {kind}")
-                    decoded = predecode(program, block)
-                    records = decoded.records
-                    fetch_region = decoded.fetch_region
-                    fetch_is_ram = decoded.fetch_is_ram
-                    current_block_key = program.block_key(block)
-                    continue
-                if trace is not None:
-                    if payload == trace[0]:
-                        # The trace closed back on its head: a loop.  Compile
-                        # and immediately dispatch the new superblock.
-                        compile_trace(True)
-                        entering = True
-                        continue
-                    if (payload in trace_set or not decoded.chainable
-                            or len(trace) >= MAX_CHAIN):
+                    callee, return_site = target
+                    self.registers[LR.index] = \
+                        self._intern_return_site(return_site)
+                    function_name = callee
+                    block = functions[callee].entry_block
+                    payload = (callee, block.name)
+                    index = 0
+                    entering = not pipelined
+                elif kind == "return":
+                    # Re-enters the calling block mid-stream: not a block
+                    # entry, likewise ends any live trace.
+                    if trace is not None:
                         compile_trace(False)
-                    else:
-                        trace.append(payload)
-                        trace_set.add(payload)
-                if trace is None:
-                    count = hot_counts.get(payload, 0) + 1
-                    hot_counts[payload] = count
-                    if count >= HOT_THRESHOLD and decoded.chainable:
-                        trace = [payload]
-                        trace_set = {payload}
+                    site_function, site_block, site_index = target
+                    function_name = site_function
+                    block = functions[site_function].blocks[site_block]
+                    payload = (site_function, site_block)
+                    index = site_index
+                    entering = False
+                else:  # pragma: no cover - defensive
+                    raise SimulationError(f"unknown transfer kind {kind}")
+                decoded = predecode(program, block)
+                records = decoded.records
+                fetch_region = decoded.fetch_region
+                fetch_is_ram = decoded.fetch_is_ram
+                current_block_key = program.block_key(block)
+                if lines and not fetch_is_ram:
+                    line_ids = line_memo.get(current_block_key)
+                    if line_ids is None:
+                        if block.address is None:
+                            raise SimulationError(
+                                f"block {current_block_key} has no address "
+                                f"(layout not run?)")
+                        line_ids = line_memo[current_block_key] = [
+                            (block.address + offset) >> line_shift
+                            for offset in block.instruction_offsets()]
 
-            # ---- generic decode-once execution ---------------------------- #
+                if entering:
+                    # ---- block-entry dispatch: superblocks and traces ---- #
+                    sb = superblocks.get(payload)
+                    if sb is not None:
+                        if trace is not None:
+                            # Chain the recorded prefix up to (not into) the
+                            # existing superblock; execution continues inside.
+                            compile_trace(False)
+                        sb_dispatches += 1
+                        entered_at = total_instructions
+                        kind, target, total_cycles, total_instructions = \
+                            execute_superblock(self, sb, superblocks,
+                                               total_cycles, total_instructions,
+                                               cycles_by_section, energy_counts,
+                                               profile, max_instructions)
+                        sb_instructions += total_instructions - entered_at
+                        transfer = (kind, target)
+                        continue
+                    if trace is not None:
+                        if payload == trace[0]:
+                            # The trace closed back on its head: a loop.
+                            # Compile and immediately dispatch the new
+                            # superblock.
+                            compile_trace(True)
+                            transfer = ("block", payload)
+                            continue
+                        if (payload in trace_set or not decoded.chainable
+                                or len(trace) >= MAX_CHAIN):
+                            compile_trace(False)
+                        else:
+                            trace.append(payload)
+                            trace_set.add(payload)
+                    if trace is None:
+                        count = hot_counts.get(payload, 0) + 1
+                        hot_counts[payload] = count
+                        if count >= HOT_THRESHOLD and decoded.chainable:
+                            trace = [payload]
+                            trace_set = {payload}
+
+            # ---- per-record execution ------------------------------------ #
             if total_instructions > max_instructions:
                 raise SimulationError(
                     f"instruction limit exceeded ({self.max_instructions}); "
                     f"likely an infinite loop in {function_name}")
 
             if index >= len(records):
-                # End of block without explicit control transfer: fall through.
+                # End of block without explicit control transfer: fall
+                # through.  No branch, so a pipeline keeps streaming: the
+                # overlap window and the hazard register survive.
                 profile.record(current_block_key, total_cycles - block_cycle_start)
-                next_name = block.fallthrough
-                if next_name is None:
+                if block.fallthrough is None:
                     raise SimulationError(
                         f"fell off the end of {function_name}/{block.name}")
-                block = functions[function_name].blocks[next_name]
-                payload = (function_name, next_name)
-                decoded = predecode(program, block)
-                records = decoded.records
-                fetch_region = decoded.fetch_region
-                fetch_is_ram = decoded.fetch_is_ram
-                index = 0
-                entering = True
-                block_cycle_start = total_cycles
-                current_block_key = program.block_key(block)
+                transfer = ("block", (function_name, block.fallthrough))
                 continue
 
             record = records[index]
 
-            # --- predication (it blocks) ---------------------------------- #
-            if record.is_it:
-                pending_cond = record.cond
-                total_cycles += 1
+            if pipelined:
+                # ---- fetch stage ----------------------------------------- #
+                stall = 0
+                if not fetch_is_ram:
+                    if lines:
+                        line = line_ids[index]
+                        slot = line % lines
+                        if tags[slot] == line:
+                            # Hit: a single-cycle fetch from cache SRAM,
+                            # charged at RAM fetch power.
+                            fetch_region = "ram"
+                            icache_hits += 1
+                        else:
+                            tags[slot] = line
+                            icache_misses += 1
+                            fetch_region = "flash"
+                            stall = miss_penalty - overlap
+                            if stall < 0:
+                                stall = 0
+                    else:
+                        stall = FLASH_WAIT_STATES - overlap
+                        if stall < 0:
+                            stall = 0
+
+            # ---- predication: an ``it`` or a failed predicate, one cycle -- #
+            if record.is_it or (record.predicated and not cond_holds(
+                    record.cond if record.cond is not None else pending_cond,
+                    self.flag_n, self.flag_z, self.flag_c, self.flag_v)):
+                if record.is_it:
+                    pending_cond = record.cond
+                cycles = 1 + stall
+                total_cycles += cycles
                 total_instructions += 1
-                cycles_by_section[fetch_region] += 1
-                key = (1, fetch_region, _ALU_VALUE, None)
+                cycles_by_section[fetch_region] += cycles
+                key = (cycles, fetch_region, _ALU_VALUE, None)
                 energy_counts[key] = counts_get(key, 0) + 1
+                overlap = cycles - 1
+                load_dst = -1
                 index += 1
                 continue
 
-            if record.predicated:
-                condition = record.cond if record.cond is not None else pending_cond
-                if not cond_holds(condition, self.flag_n, self.flag_z,
-                                  self.flag_c, self.flag_v):
-                    total_cycles += 1
-                    total_instructions += 1
-                    cycles_by_section[fetch_region] += 1
-                    key = (1, fetch_region, _ALU_VALUE, None)
-                    energy_counts[key] = counts_get(key, 0) + 1
-                    index += 1
-                    continue
-
-            # --- execute --------------------------------------------------- #
+            # ---- execute ------------------------------------------------- #
             data_region, transfer = record.run(self)
 
             if record.conditional and transfer is None:
@@ -495,6 +558,21 @@ class Simulator:
             if fetch_is_ram and data_region == "ram" and record.contention:
                 cycles += RAM_CONTENTION_STALL
 
+            if pipelined:
+                # ---- load-use hazard and flush --------------------------- #
+                # Reading the previous load's destination waits for its
+                # writeback.  A taken transfer flushes the pipeline: the
+                # overlap window and the hazard register reset.
+                if load_dst >= 0 and load_dst in record.reads:
+                    cycles += LOAD_USE_STALL
+                cycles += stall
+                if transfer is None:
+                    overlap = cycles - 1
+                    load_dst = record.load_dst
+                else:
+                    overlap = 0
+                    load_dst = -1
+
             total_cycles += cycles
             total_instructions += 1
             cycles_by_section[fetch_region] += cycles
@@ -504,50 +582,7 @@ class Simulator:
             if transfer is None:
                 index += 1
                 continue
-
-            kind, target = transfer
             profile.record(current_block_key, total_cycles - block_cycle_start)
-            block_cycle_start = total_cycles
-
-            if kind == "exit":
-                publish_counters()
-                return self._finish(total_cycles, total_instructions,
-                                    energy_counts, profile, cycles_by_section)
-            if kind == "block":
-                function_name, target_block = target
-                payload = target
-                block = functions[function_name].blocks[target_block]
-                index = 0
-                entering = True
-            elif kind == "call":
-                # The superblock executor side-exits on call transfers, so a
-                # chain crossing one could never be followed: end the trace.
-                if trace is not None:
-                    compile_trace(False)
-                callee, return_site = target
-                self.registers[LR.index] = self._intern_return_site(return_site)
-                function_name = callee
-                block = functions[callee].entry_block
-                payload = (callee, block.name)
-                index = 0
-                entering = True
-            elif kind == "return":
-                # Re-enters the calling block mid-stream: not a block entry,
-                # likewise ends any live trace.
-                if trace is not None:
-                    compile_trace(False)
-                site_function, site_block, site_index = target
-                function_name = site_function
-                block = functions[site_function].blocks[site_block]
-                payload = (site_function, site_block)
-                index = site_index
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown transfer kind {kind}")
-            decoded = predecode(program, block)
-            records = decoded.records
-            fetch_region = decoded.fetch_region
-            fetch_is_ram = decoded.fetch_is_ram
-            current_block_key = program.block_key(block)
 
     # ------------------------------------------------------------------ #
     # Interpreted reference path (the seed implementation, kept as oracle)

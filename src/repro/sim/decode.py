@@ -97,8 +97,8 @@ class DecodedInstr:
         self.cycles_taken = cycles_for(instr, taken=True)
         self.cycles_not_taken = cycles_for(instr, taken=False)
         self.klass = instr_class(instr)
-        # Load-use hazard metadata for the pipelined timing model
-        # (repro.sim.pipeline); unused by the flat execution paths.
+        # Load-use hazard metadata, read by the decode-once loop's hazard
+        # stage under pipelined timing (repro.sim.pipeline) only.
         self.load_dst = load_dest(instr)
         self.reads = registers_read(instr)
         # Plain-string mirror of ``klass`` for energy-count keys: strings

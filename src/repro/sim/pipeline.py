@@ -31,12 +31,12 @@ with classic 3-stage fetch/decode/execute accounting:
 
 Everything stays integer event counts reduced by
 :meth:`~repro.sim.cpu.SimulationResult.priced`, so pipelined runs are
-exactly as bitwise-deterministic as flat ones.  The **bitwise-determinism contract** of
-the flat model is untouched: ``timing_model="flat"`` takes the pre-existing
-execution paths verbatim and produces byte-identical results and stores.
-Pipelined runs side-exit to their own generic decode-once loop
-(:func:`run_pipelined`) and never enter the superblock fast path, whose
-batched static cycle counts are precomputed under flat accounting.
+exactly as bitwise-deterministic as flat ones.  Both models run on the
+simulator's one decode-once loop: under pipelined timing it runs the fetch
+stage, the load-use hazard and the branch flush inline, and never forms
+superblocks, whose batched static cycle counts are precomputed under flat
+accounting.  Flat runs skip those stages, so the flat results and stores
+stay byte-identical to the pre-axis reference.
 
 :class:`TimingSpec` is the parsed form of a ``timing_model`` string; it also
 provides the *static* per-block cost estimates (flash-stall and hazard
@@ -49,19 +49,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from repro.isa.conditions import cond_holds
-from repro.isa.instructions import InstrClass
 from repro.isa.timing import (
     FLASH_WAIT_STATES,
     LOAD_USE_STALL,
-    RAM_CONTENTION_STALL,
     cycles_for,
     load_dest,
     registers_read,
 )
 from repro.machine.blocks import MachineBlock
-from repro.sim.decode import SimulationError, predecode
-from repro.sim.profiler import BlockProfile
 
 #: The timing-model axis values the CLI offers.  Parameterized icache
 #: geometries (``pipelined+icache:32x8``) are accepted everywhere a
@@ -76,8 +71,6 @@ DEFAULT_ICACHE_LINE_BYTES = 16
 #: estimating per-block flash stalls (the dynamic simulation models the
 #: cache exactly; this only steers the placement solver).
 ICACHE_ASSUMED_HIT_RATE = 0.875
-
-_ALU_VALUE = InstrClass.ALU.value
 
 
 @dataclass(frozen=True)
@@ -211,229 +204,3 @@ class TimingSpec:
             miss_rate = 1.0 - ICACHE_ASSUMED_HIT_RATE
             return hazard, len(block.instructions) * miss_rate * self.miss_penalty
         return hazard, float(stall)
-
-
-# --------------------------------------------------------------------------- #
-# The pipelined execution loop
-# --------------------------------------------------------------------------- #
-def run_pipelined(sim, entry: str):
-    """Execute *sim*'s program under the pipelined timing model.
-
-    This is the generic decode-once loop of
-    :meth:`Simulator._run_superblocked`, without superblocks, extended with
-    the fetch-overlap window, the direct-mapped icache and the load-use
-    hazard described in the module docstring.  It is the **only** execution
-    path for pipelined runs: superblocks batch statically-precomputed flat
-    cycles, so pipelined simulations side-exit to this generic loop instead.
-    Energy stays integer event counts keyed
-    ``(cycles, fetch_region, instr_class, data_region)`` and is reduced once
-    by :meth:`SimulationResult.priced`, so results are bitwise deterministic.
-    """
-    timing: TimingSpec = sim.timing
-    program = sim.program
-    functions = program.functions
-    max_instructions = sim.max_instructions
-
-    profile = BlockProfile()
-    total_cycles = 0
-    total_instructions = 0
-    energy_counts = {}
-    counts_get = energy_counts.get
-    cycles_by_section = {"flash": 0, "ram": 0}
-
-    lines = timing.icache_lines
-    line_shift = timing.icache_line_bytes.bit_length() - 1
-    miss_penalty = timing.miss_penalty
-    tags = [-1] * lines if lines else None
-    # Icache telemetry: plain locals in the fetch stage (hot), published to
-    # the hub once at finish.
-    icache_hits = 0
-    icache_misses = 0
-    #: (function, block) -> (layout generation, per-instruction line ids).
-    line_memo = {}
-
-    def block_line_ids(block):
-        key = (block.function_name, block.name)
-        cached = line_memo.get(key)
-        if cached is not None and cached[0] == program.layout_generation:
-            return cached[1]
-        if block.address is None:
-            raise SimulationError(
-                f"block {block.function_name}/{block.name} has no address "
-                f"(layout not run?)")
-        base = block.address
-        ids = [(base + offset) >> line_shift
-               for offset in block.instruction_offsets()]
-        line_memo[key] = (program.layout_generation, ids)
-        return ids
-
-    function_name = entry
-    block = functions[entry].entry_block
-    decoded = predecode(program, block)
-    records = decoded.records
-    fetch_region = decoded.fetch_region
-    fetch_is_ram = decoded.fetch_is_ram
-    line_ids = (block_line_ids(block)
-                if lines and not fetch_is_ram else None)
-    index = 0
-    pending_cond = None
-    block_cycle_start = 0
-    current_block_key = program.block_key(block)
-
-    #: Fetch cycles the previous instruction's execute time can hide.
-    overlap = 0
-    #: Destination register of an immediately preceding load, else -1.
-    load_dst = -1
-
-    while True:
-        if total_instructions > max_instructions:
-            raise SimulationError(
-                f"instruction limit exceeded ({sim.max_instructions}); "
-                f"likely an infinite loop in {function_name}")
-
-        if index >= len(records):
-            # Fall through: no branch, the pipeline keeps streaming, so the
-            # overlap window and the hazard register survive the boundary.
-            profile.record(current_block_key, total_cycles - block_cycle_start)
-            next_name = block.fallthrough
-            if next_name is None:
-                raise SimulationError(
-                    f"fell off the end of {function_name}/{block.name}")
-            block = functions[function_name].blocks[next_name]
-            decoded = predecode(program, block)
-            records = decoded.records
-            fetch_region = decoded.fetch_region
-            fetch_is_ram = decoded.fetch_is_ram
-            line_ids = (block_line_ids(block)
-                        if lines and not fetch_is_ram else None)
-            index = 0
-            block_cycle_start = total_cycles
-            current_block_key = program.block_key(block)
-            continue
-
-        record = records[index]
-
-        # --- fetch stage ---------------------------------------------- #
-        stall = 0
-        region = fetch_region
-        if not fetch_is_ram:
-            if lines:
-                line = line_ids[index]
-                slot = line % lines
-                if tags[slot] == line:
-                    # Hit: single-cycle fetch from cache SRAM, charged at
-                    # RAM fetch power.
-                    region = "ram"
-                    icache_hits += 1
-                else:
-                    tags[slot] = line
-                    icache_misses += 1
-                    stall = miss_penalty - overlap
-                    if stall < 0:
-                        stall = 0
-            else:
-                stall = FLASH_WAIT_STATES - overlap
-                if stall < 0:
-                    stall = 0
-
-        # --- predication (it blocks) ----------------------------------- #
-        if record.is_it:
-            pending_cond = record.cond
-            cycles = 1 + stall
-            total_cycles += cycles
-            total_instructions += 1
-            cycles_by_section[region] += cycles
-            key = (cycles, region, _ALU_VALUE, None)
-            energy_counts[key] = counts_get(key, 0) + 1
-            overlap = cycles - 1
-            load_dst = -1
-            index += 1
-            continue
-
-        if record.predicated:
-            condition = record.cond if record.cond is not None else pending_cond
-            if not cond_holds(condition, sim.flag_n, sim.flag_z,
-                              sim.flag_c, sim.flag_v):
-                cycles = 1 + stall
-                total_cycles += cycles
-                total_instructions += 1
-                cycles_by_section[region] += cycles
-                key = (cycles, region, _ALU_VALUE, None)
-                energy_counts[key] = counts_get(key, 0) + 1
-                overlap = cycles - 1
-                load_dst = -1
-                index += 1
-                continue
-
-        # --- execute ---------------------------------------------------- #
-        data_region, transfer = record.run(sim)
-
-        if record.conditional and transfer is None:
-            cycles = record.cycles_not_taken
-        else:
-            cycles = record.cycles_taken
-
-        # Load-use hazard: reading the previous load's destination.
-        if load_dst >= 0 and load_dst in record.reads:
-            cycles += LOAD_USE_STALL
-
-        # RAM bus contention: executing from RAM while touching RAM data.
-        if fetch_is_ram and data_region == "ram" and record.contention:
-            cycles += RAM_CONTENTION_STALL
-
-        cycles += stall
-        total_cycles += cycles
-        total_instructions += 1
-        cycles_by_section[region] += cycles
-        key = (cycles, region, record.klass_value, data_region)
-        energy_counts[key] = counts_get(key, 0) + 1
-
-        if transfer is None:
-            overlap = cycles - 1
-            load_dst = record.load_dst
-            index += 1
-            continue
-
-        # Taken control transfer: the pipeline flushes — both the fetch
-        # overlap window and the load-use hazard register reset.
-        overlap = 0
-        load_dst = -1
-
-        kind, payload = transfer
-        profile.record(current_block_key, total_cycles - block_cycle_start)
-        block_cycle_start = total_cycles
-
-        if kind == "exit":
-            if lines:
-                from repro.telemetry import get_telemetry
-                hub = get_telemetry()
-                if hub.enabled:
-                    hub.add("sim.icache.hits", icache_hits)
-                    hub.add("sim.icache.misses", icache_misses)
-            return sim._finish(total_cycles, total_instructions,
-                               energy_counts, profile, cycles_by_section)
-        if kind == "block":
-            target_function, target_block = payload
-            function_name = target_function
-            block = functions[target_function].blocks[target_block]
-            index = 0
-        elif kind == "call":
-            callee, return_site = payload
-            sim.registers[14] = sim._intern_return_site(return_site)
-            function_name = callee
-            block = functions[callee].entry_block
-            index = 0
-        elif kind == "return":
-            site_function, site_block, site_index = payload
-            function_name = site_function
-            block = functions[site_function].blocks[site_block]
-            index = site_index
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown transfer kind {kind}")
-        decoded = predecode(program, block)
-        records = decoded.records
-        fetch_region = decoded.fetch_region
-        fetch_is_ram = decoded.fetch_is_ram
-        line_ids = (block_line_ids(block)
-                    if lines and not fetch_is_ram else None)
-        current_block_key = program.block_key(block)

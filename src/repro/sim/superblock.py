@@ -55,10 +55,10 @@ re-layout — in particular the flash-RAM placement transformation — discards
 them wholesale and the next run re-forms them from fresh observations.
 
 Superblocks are **flat-timing only**: their batched accounting bakes in the
-flat cycle model, so a simulator constructed with a pipelined
-``timing_model`` (:mod:`repro.sim.pipeline`) side-exits before this layer —
-``Simulator.run`` dispatches to ``run_pipelined`` ahead of the superblock
-path, and never forms or executes superblocks.
+flat cycle model.  Under a pipelined ``timing_model``
+(:mod:`repro.sim.pipeline`) the simulator's decode-once loop runs its
+fetch, hazard and flush stages instead, and never forms or executes
+superblocks.
 """
 
 from __future__ import annotations

@@ -50,9 +50,10 @@ def test_explore_report_merge_and_stats_compose(tmp_path, capsys, clean_hub):
     (["cancel", "--port", "1"], "cancel requires the sweep name"),
     (["figure5", "--benchmarks", "nosuch"], "invalid choice: 'nosuch'"),
     (["explore", "--levels", "O9"], "invalid choice: 'O9'"),
+    (["explore", "--timing-models", "turbo"], "unknown timing model 'turbo'"),
 ], ids=["coordinate", "fixed-batches", "work-workers", "work-no-port",
         "batch-size-in-process", "cancel-no-name", "unknown-benchmark",
-        "unknown-level"])
+        "unknown-level", "unknown-timing-model"])
 def test_inapplicable_inputs_exit_with_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)

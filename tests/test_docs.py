@@ -48,7 +48,6 @@ ENTRY_POINTS = [
     ("repro.sim", "Simulator"),
     ("repro.sim", "EnergyModel"),
     ("repro.sim", "TimingSpec"),
-    ("repro.sim.pipeline", "run_pipelined"),
     ("repro.placement", "FlashRAMOptimizer"),
     ("repro.placement", "PlacementConfig"),
     ("repro.engine", "ExperimentEngine"),

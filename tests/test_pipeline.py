@@ -1,7 +1,8 @@
 """Tests for the pipelined/cached timing model and its sweep axis.
 
 Covers the bitwise-determinism contract (flat runs and flat stores are
-byte-identical to pre-axis behaviour), the pipelined simulator semantics
+byte-identical to pre-axis behaviour, pipelined stores to a committed
+pipelined reference), the pipelined simulator semantics
 (deterministic, slower than flat without a cache, faster again with one),
 the ``TimingSpec`` parser, the ``SweepSpec`` axis round trip, cell-key
 stability, and the pipelined placement cost model.
@@ -124,7 +125,7 @@ def test_flat_run_unchanged_by_timing_plumbing():
 
 def test_interpreted_oracle_is_flat_only():
     # decode_once=False means "run the flat oracle": paired with another
-    # timing model it must fail, not quietly run the pipelined loop.
+    # timing model it must fail, not quietly run the decode-once loop.
     program = compile_benchmark(get_benchmark("crc32"), "O2")
     for model in ("pipelined", "pipelined+icache"):
         with pytest.raises(ValueError, match="flat interpreted oracle"):

@@ -219,6 +219,40 @@ def test_simulator_finish_rejects_unreconciled_counts():
 
 
 # --------------------------------------------------------------------------- #
+# Simulator counters: each timing model publishes its own
+# --------------------------------------------------------------------------- #
+def test_each_timing_model_publishes_its_own_counters(tmp_path, clean_hub):
+    cache = ProgramCache()
+
+    def counters_of_run(timing_model):
+        reset_telemetry(clear_env=True)
+        configure_telemetry(tmp_path / timing_model, role="main")
+        program = cache.get_benchmark_mutable("crc32", "O2")
+        Simulator(program, timing_model=timing_model).run()
+        return dict(get_telemetry().counters)
+
+    def family(counters, prefix):
+        return {name for name in counters if name.startswith(prefix)}
+
+    flat = counters_of_run("flat")
+    assert family(flat, "sim.superblock.") == {
+        "sim.superblock.compiles", "sim.superblock.dispatches",
+        "sim.superblock.instructions"}
+    assert 0 < flat["sim.superblock.instructions"] <= flat["sim.instructions"]
+    assert not family(flat, "sim.icache.")
+
+    pipelined = counters_of_run("pipelined")
+    assert not family(pipelined, "sim.superblock.")
+    assert not family(pipelined, "sim.icache.")
+
+    cached = counters_of_run("pipelined+icache")
+    assert not family(cached, "sim.superblock.")
+    # Every retired instruction is fetched exactly once: a hit or a miss.
+    assert (cached["sim.icache.hits"] + cached["sim.icache.misses"]
+            == cached["sim.instructions"])
+
+
+# --------------------------------------------------------------------------- #
 # Pool cache-stats aggregation (satellite: stats cross the pool)
 # --------------------------------------------------------------------------- #
 def test_pool_worker_cache_stats_are_merged(clean_hub):
