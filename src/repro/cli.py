@@ -1,6 +1,8 @@
 """Console entry point: run a named figure of the paper through the engine.
 
-Installed as ``repro-eval`` (see ``setup.py``).  Examples::
+Installed as ``repro-eval`` (see ``setup.py``).  Each verb takes only the
+flags it reads, after the verb: ``repro-eval VERB --help`` lists them, and
+any other flag is a usage error (exit 2).  Examples::
 
     repro-eval figure5 --benchmarks int_matmult crc32 --levels O2 --workers 4
     repro-eval figure9 --output results/
@@ -63,12 +65,14 @@ exiting non-zero if there are any::
     repro-eval analyze                       # lint + audit, all benchmarks
     repro-eval analyze --lint --levels O2    # lint only, one level
 
-``--telemetry DIR`` (any subcommand) streams span/counter events from every
-process — service, workers, pool children — into ``DIR`` as JSON lines
+``--telemetry DIR`` (on the figure verbs, ``case-study``, ``explore``,
+``serve``, ``work`` and ``analyze``: the ones that compile, solve, simulate
+or host a fleet) streams span/counter events from every process — service,
+workers, pool children — into ``DIR`` as JSON lines
 (:mod:`repro.telemetry`); results are byte-identical with or without it.
-``stats`` reduces such a trace directory into a per-phase wall-clock
-breakdown, and ``metrics`` scrapes a live service's Prometheus text
-without joining the fleet::
+``stats TRACE_DIR`` reduces such a trace directory into a per-phase
+wall-clock breakdown, and ``metrics`` scrapes a live service's Prometheus
+text without joining the fleet::
 
     repro-eval explore --benchmarks crc32 --telemetry trace/ --output out
     repro-eval stats trace/                  # where did the time go?
@@ -80,17 +84,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.beebs import BENCHMARK_NAMES
 from repro.engine import ExperimentEngine, ResultStore, default_engine
 from repro.placement.optimizer import SOLVERS
 from repro.placement.parameters import FREQUENCY_MODES
 from repro.sim.pipeline import TIMING_MODELS, TimingSpec
-
-FIGURES = ["figure1", "figure2", "figure5", "figure6", "figure9", "case-study",
-           "explore", "merge", "report", "work", "analyze",
-           "metrics", "stats", "serve", "submit", "status", "cancel"]
 
 #: Every optimization level the compiler driver accepts, in pipeline order.
 ALL_OPT_LEVELS = ("O0", "O1", "O2", "O3", "Os")
@@ -104,163 +104,246 @@ def _timing_model(value: str) -> str:
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
+def _shard(value: str) -> Tuple[int, int]:
+    """``--shard`` type: ``(i, N)``; a malformed assignment exits 2."""
+    from repro.explore import parse_shard
+    try:
+        return parse_shard(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-eval",
         description="Reproduce a figure of 'Optimizing the flash-RAM energy "
-                    "trade-off in deeply embedded systems' (CGO 2015).")
-    parser.add_argument("figure", choices=FIGURES,
-                        help="which figure / reported number to reproduce")
-    parser.add_argument("target", nargs="?", default=None, metavar="PATH",
-                        help="stats: telemetry trace directory to summarize "
-                             "(defaults to --telemetry DIR); status/cancel: "
-                             "the sweep name (status defaults to all sweeps)")
-    parser.add_argument("--benchmarks", nargs="*", default=None,
+                    "trade-off in deeply embedded systems' (CGO 2015).",
+        epilog="Flags follow the verb; 'repro-eval VERB --help' lists them.")
+    verbs = parser.add_subparsers(
+        dest="verb", required=True,
+        help="which figure / reported number to reproduce, or which sweep, "
+             "fleet or trace tool to run")
+
+    def option(*names: str, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser: the one definition of an option verbs share."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    def verb(name: str, summary: str,
+             *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return verbs.add_parser(name, help=summary, description=summary,
+                                parents=list(parents))
+
+    output = option("--output", default=None, metavar="DIR",
+                    help="directory to persist JSON records into (submit: "
+                         "on the service host; defaults to the service's "
+                         "own store root)")
+    telemetry = option("--telemetry", default=None, metavar="DIR",
+                       help="write span/counter telemetry events (JSON "
+                            "lines, one file per process) into DIR; "
+                            "propagated to pool and distributed workers; "
+                            "results are byte-identical with or without it")
+    cache_dir = option("--cache-dir", default=None, metavar="DIR",
+                       help="persistent on-disk program cache shared "
+                            "between processes and runs: compiled programs "
+                            "are pickled under DIR so a fleet compiles each "
+                            "(benchmark, level) once per machine")
+    x_limit = option("--x-limit", type=float, default=1.5,
+                     help="allowed slowdown factor X_limit (default 1.5)")
+    workers = option("--workers", type=int, default=None,
+                     help="in-process fan-out for grids (default: cpu count)")
+    benchmarks = option("--benchmarks", nargs="*", default=None,
                         choices=BENCHMARK_NAMES, metavar="NAME",
                         help=f"benchmark subset (default: figure-specific; "
                              f"known: {', '.join(BENCHMARK_NAMES)})")
-    parser.add_argument("--levels", nargs="*", default=None, metavar="LEVEL",
-                        choices=ALL_OPT_LEVELS,
-                        help="optimization levels, e.g. O2 Os")
-    parser.add_argument("--frequency-modes", nargs="*", default=("static",),
-                        choices=FREQUENCY_MODES,
-                        help="block-frequency estimation modes "
-                             "(figure5/explore)")
-    parser.add_argument("--lint", action="store_true",
-                        help="analyze: run the machine-code lint over each "
-                             "benchmark, pristine and after placement "
-                             "(default: lint and audit)")
-    parser.add_argument("--audit", action="store_true",
-                        help="analyze: simulate each optimized benchmark and "
-                             "audit every compiled superblock against its "
-                             "decode records (default: lint and audit)")
-    parser.add_argument("--x-limit", type=float, default=1.5,
-                        help="allowed slowdown factor X_limit (default 1.5)")
-    parser.add_argument("--x-limits", nargs="*", type=float, default=None,
-                        metavar="X", help="X_limit axis of an explore sweep")
-    parser.add_argument("--r-spares", nargs="*", type=int, default=None,
-                        metavar="BYTES",
-                        help="R_spare axis of an explore sweep "
-                             "(omit to derive statically)")
-    parser.add_argument("--flash-ram-ratios", nargs="*", type=float,
-                        default=None, metavar="RATIO",
-                        help="flash/RAM energy-ratio axis of an explore sweep "
-                             "(omit for the calibrated Figure 1 tables)")
-    parser.add_argument("--solvers", nargs="*", default=None,
-                        choices=SOLVERS,
-                        help="solver axis of an explore sweep (default: ilp)")
-    parser.add_argument("--timing-models", nargs="*", default=None,
-                        type=_timing_model, metavar="MODEL",
-                        help=f"timing-model axis of an explore sweep: "
-                             f"{', '.join(TIMING_MODELS)} or "
-                             f"pipelined+icache:LxB (default: flat)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="in-process fan-out for grids (default: cpu "
-                             "count; not for work, which is sequential)")
-    parser.add_argument("--output", default=None, metavar="DIR",
-                        help="directory to persist JSON records into "
-                             "(submit: on the service host; defaults to "
-                             "the service's own store root)")
-    parser.add_argument("--shard", default=None, metavar="I/N",
-                        help="explore: run only shard I of N (cells are "
-                             "partitioned by key hash; every cell lands in "
-                             "exactly one shard)")
-    parser.add_argument("--resume", action="store_true",
-                        help="explore: skip cells already in the --output "
-                             "store and append only the missing ones")
-    parser.add_argument("--recheck", type=int, default=0, metavar="K",
-                        help="explore --resume: recompute up to K stored "
-                             "cells and fail unless they reproduce bitwise")
-    parser.add_argument("--name", default="sweep", metavar="NAME",
-                        help="keyed store file name (default: sweep)")
-    parser.add_argument("--stores", nargs="*", default=None, metavar="PATH",
-                        help="merge: source stores (files or directories)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="report: directory of the merged sweep store")
-    parser.add_argument("--require-disjoint", action="store_true",
-                        help="merge: fail on any duplicate cell across "
-                             "sources instead of checking bitwise agreement")
-    parser.add_argument("--progress", action="store_true",
-                        help="print a live cells/s + ETA line to stderr "
-                             "(stdout stays machine-readable)")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="K",
-                        help="journal completed cells to the store every K "
-                             "cells (O(batch) per checkpoint), so --resume "
-                             "restarts from the last checkpoint")
-    parser.add_argument("--distributed", type=int, default=None, metavar="N",
-                        help="explore: run through a local sweep service "
-                             "with N spawned worker processes (dynamic "
-                             "batch leasing instead of the in-process pool)")
-    parser.add_argument("--host", default="127.0.0.1", metavar="HOST",
-                        help="serve: address to bind / work, submit, status, "
-                             "cancel, metrics: service address "
-                             "(default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=None, metavar="PORT",
-                        help="serve: port to bind (0 = ephemeral, printed "
-                             "to stderr) / other verbs: service port")
-    parser.add_argument("--batch-size", type=int, default=None, metavar="B",
-                        help="submit, explore --distributed: most cells per "
-                             "lease; leases shrink as the queue drains "
-                             "(default 4)")
-    parser.add_argument("--lease-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="serve, explore --distributed: re-lease a "
-                             "batch whose worker has not heartbeat for this "
-                             "long (default 60)")
-    parser.add_argument("--throttle", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="work: artificial delay per executed cell "
-                             "(manufactures stragglers for tests/benchmarks)")
-    parser.add_argument("--priority", type=int, default=1, metavar="P",
-                        help="submit: integer lease-scheduling weight; a "
-                             "priority-3 sweep holds ~3x the outstanding "
-                             "cells of a priority-1 sweep (default 1)")
-    parser.add_argument("--wait", action="store_true",
-                        help="submit: block until the sweep reaches a "
-                             "terminal state and report it (non-zero exit "
-                             "on failure)")
-    parser.add_argument("--drain", action="store_true",
-                        help="serve: exit once every submitted sweep is "
-                             "terminal (workers are released with 'done'); "
-                             "default is to keep serving for later submits")
-    parser.add_argument("--telemetry", default=None, metavar="DIR",
-                        help="write span/counter telemetry events (JSON "
-                             "lines, one file per process) into DIR; "
-                             "propagated to pool and distributed workers; "
-                             "results are byte-identical with or without it")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent on-disk program cache shared "
-                             "between processes and runs: compiled programs "
-                             "are pickled under DIR so a fleet compiles "
-                             "each (benchmark, level) once per machine")
+    levels = option("--levels", nargs="*", default=None, metavar="LEVEL",
+                    choices=ALL_OPT_LEVELS,
+                    help="optimization levels, e.g. O2 Os")
+    frequency_modes = option("--frequency-modes", nargs="*",
+                             default=("static",), choices=FREQUENCY_MODES,
+                             help="block-frequency estimation modes")
+    name = option("--name", default="sweep", metavar="NAME",
+                  help="keyed store file name (default: sweep)")
+    checkpoint_every = option(
+        "--checkpoint-every", type=int, default=None, metavar="K",
+        help="journal completed cells to the store every K cells (O(batch) "
+             "per checkpoint), so --resume restarts from the last checkpoint")
+    lease_timeout = option("--lease-timeout", type=float, default=None,
+                           metavar="SECONDS",
+                           help="re-lease a batch whose worker has not "
+                                "heartbeat for this long (default 60; "
+                                "explore: with --distributed)")
+    progress = option("--progress", action="store_true",
+                      help="print a live cells/s + ETA line to stderr "
+                           "(stdout stays machine-readable)")
+    client = argparse.ArgumentParser(add_help=False)
+    client.add_argument("--host", default="127.0.0.1", metavar="HOST",
+                        help="service address (default 127.0.0.1)")
+    client.add_argument("--port", type=int, required=True, metavar="PORT",
+                        help="service port")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[
+        benchmarks, levels, frequency_modes, name, checkpoint_every])
+    sweep.add_argument("--x-limits", nargs="*", type=float, default=None,
+                       metavar="X", help="X_limit axis of an explore sweep")
+    sweep.add_argument("--r-spares", nargs="*", type=int, default=None,
+                       metavar="BYTES",
+                       help="R_spare axis of an explore sweep "
+                            "(omit to derive statically)")
+    sweep.add_argument("--flash-ram-ratios", nargs="*", type=float,
+                       default=None, metavar="RATIO",
+                       help="flash/RAM energy-ratio axis of an explore sweep "
+                            "(omit for the calibrated Figure 1 tables)")
+    sweep.add_argument("--solvers", nargs="*", default=None, choices=SOLVERS,
+                       help="solver axis of an explore sweep (default: ilp)")
+    sweep.add_argument("--timing-models", nargs="*", default=None,
+                       type=_timing_model, metavar="MODEL",
+                       help=f"timing-model axis of an explore sweep: "
+                            f"{', '.join(TIMING_MODELS)} or "
+                            f"pipelined+icache:LxB (default: flat)")
+    sweep.add_argument("--resume", action="store_true",
+                       help="skip cells already in the --output store and "
+                            "append only the missing ones")
+    sweep.add_argument("--batch-size", type=int, default=None, metavar="B",
+                       help="most cells per lease; leases shrink as the "
+                            "queue drains (default 4; explore: with "
+                            "--distributed)")
+
+    verb("figure1", "Figure 1: power per instruction type, flash vs RAM",
+         output, telemetry)
+    verb("figure2", "Figure 2: the motivating example, before and after "
+         "placement", x_limit, output, telemetry)
+    verb("figure5", "Figure 5: energy, time and power change per benchmark",
+         benchmarks, levels, frequency_modes, x_limit, workers, cache_dir,
+         output, telemetry)
+    figure6 = verb("figure6", "Figure 6: one benchmark's placement design "
+                   "space and solver trajectory", output, telemetry)
+    figure6.add_argument("--benchmarks", dest="benchmark",
+                         default="int_matmult", choices=BENCHMARK_NAMES,
+                         metavar="NAME",
+                         help="the benchmark (default int_matmult)")
+    figure6.add_argument("--levels", dest="level", default="O2",
+                         choices=ALL_OPT_LEVELS, metavar="LEVEL",
+                         help="its optimization level (default O2)")
+    figure9 = verb("figure9", "Figure 9: energy after placement vs sensing "
+                   "period", benchmarks, x_limit, cache_dir, output,
+                   telemetry)
+    figure9.add_argument("--levels", dest="level", default="O2",
+                         choices=ALL_OPT_LEVELS, metavar="LEVEL",
+                         help="optimization level (default O2)")
+    verb("case-study", "Section 7 case study: periodic sensing with fdct",
+         x_limit, cache_dir, output, telemetry)
+    explore = verb("explore", "run a design-space sweep into a keyed store",
+                   sweep, workers, lease_timeout, progress, cache_dir,
+                   output, telemetry)
+    explore.add_argument("--shard", type=_shard, default=None, metavar="I/N",
+                         help="run only shard I of N (cells are partitioned "
+                              "by key hash; every cell lands in exactly one "
+                              "shard)")
+    explore.add_argument("--recheck", type=int, default=0, metavar="K",
+                         help="with --resume: recompute up to K stored cells "
+                              "and fail unless they reproduce bitwise")
+    explore.add_argument("--distributed", type=int, default=None,
+                         metavar="N",
+                         help="run through a local sweep service with N "
+                              "spawned worker processes (dynamic batch "
+                              "leasing instead of the in-process pool)")
+    submit = verb("submit", "submit a named sweep to a running service",
+                  sweep, output, client)
+    submit.add_argument("--priority", type=int, default=1, metavar="P",
+                        help="integer lease-scheduling weight; a priority-3 "
+                             "sweep holds ~3x the outstanding cells of a "
+                             "priority-1 sweep (default 1)")
+    submit.add_argument("--wait", action="store_true",
+                        help="block until the sweep reaches a terminal state "
+                             "and report it (non-zero exit on failure)")
+    serve = verb("serve", "host named sweeps for a fleet of workers",
+                 output, lease_timeout, checkpoint_every, progress, telemetry)
+    serve.add_argument("--host", default="127.0.0.1", metavar="HOST",
+                       help="address to bind (default 127.0.0.1)")
+    serve.add_argument("--port", type=int, default=0, metavar="PORT",
+                       help="port to bind (0 = ephemeral, printed to stderr)")
+    serve.add_argument("--drain", action="store_true",
+                       help="exit once every submitted sweep is terminal "
+                            "(workers are released with 'done'); default is "
+                            "to keep serving for later submits")
+    work = verb("work", "compute leased cells for a service, one at a time "
+                "(start more work processes to scale)",
+                client, cache_dir, telemetry)
+    work.add_argument("--throttle", type=float, default=0.0,
+                      metavar="SECONDS",
+                      help="artificial delay per executed cell "
+                           "(manufactures stragglers for tests/benchmarks)")
+    status = verb("status", "per-sweep progress of a service", client)
+    status.add_argument("name", nargs="?", default=None,
+                        help="the sweep to report (default: every hosted "
+                             "sweep)")
+    cancel = verb("cancel", "cancel a hosted sweep; its partial store stays "
+                  "mergeable", client)
+    cancel.add_argument("name", help="the sweep to cancel")
+    verb("metrics", "a service's live Prometheus metrics", client)
+    merge = verb("merge", "merge shard stores into one keyed store", name)
+    merge.add_argument("--stores", nargs="+", required=True, metavar="PATH",
+                       help="source stores (files or directories)")
+    merge.add_argument("--output", required=True, metavar="DIR",
+                       help="directory of the merged store")
+    merge.add_argument("--require-disjoint", action="store_true",
+                       help="fail on any duplicate cell across sources "
+                            "instead of checking bitwise agreement")
+    report = verb("report", "Figure 5/6 tables from a sweep store, without "
+                  "re-simulating", name, output)
+    report.add_argument("--store", required=True, metavar="DIR",
+                        help="directory of the merged sweep store")
+    analyze = verb("analyze", "machine-code lint and superblock audit",
+                   benchmarks, levels, x_limit, cache_dir, output, telemetry)
+    analyze.add_argument("--lint", action="store_true",
+                         help="run the machine-code lint over each "
+                              "benchmark, pristine and after placement "
+                              "(default: lint and audit)")
+    analyze.add_argument("--audit", action="store_true",
+                         help="simulate each optimized benchmark and audit "
+                              "every compiled superblock against its decode "
+                              "records (default: lint and audit)")
+    stats = verb("stats", "per-phase wall-clock breakdown of a telemetry "
+                 "trace")
+    stats.add_argument("trace_dir", metavar="TRACE_DIR",
+                       help="telemetry trace directory to summarize")
     return parser
 
 
-def _sweep_from_args(args):
-    """The SweepSpec an ``explore``/``submit`` invocation describes."""
-    from repro.evaluation.exploration import DEFAULT_RATIOS, DEFAULT_X_LIMITS
+def _engine(cache_dir: Optional[str],
+            workers: Optional[int] = None) -> ExperimentEngine:
+    """The process-wide engine, or a fresh one for a pool or a disk cache."""
+    if workers is None and cache_dir is None:
+        return default_engine()
+    return ExperimentEngine(max_workers=workers, cache_dir=cache_dir)
+
+
+#: Axis defaults of an ``explore``/``submit`` sweep: the paper's X_limit
+#: range (Figure 6 relaxes it from 1.0 to well past 1.5) and a flash/RAM
+#: energy-ratio span around the calibrated Figure 1 tables (ratio ~1.7 on
+#: the STM32F100).
+DEFAULT_X_LIMITS: Tuple[float, ...] = (1.05, 1.1, 1.2, 1.5, 2.0)
+DEFAULT_RATIOS: Tuple[Optional[float], ...] = (None, 1.25, 2.5)
+
+
+def _sweep_from_args(args, parser):
+    """The SweepSpec an ``explore``/``submit`` invocation describes; an
+    out-of-range axis value is a usage error."""
     from repro.explore import SweepSpec
     ratios = (DEFAULT_RATIOS if args.flash_ram_ratios is None
               else tuple(args.flash_ram_ratios) or (None,))
-    return SweepSpec(
-        benchmarks=tuple(args.benchmarks or BENCHMARK_NAMES),
-        opt_levels=tuple(args.levels or ("O2",)),
-        x_limits=tuple(args.x_limits or DEFAULT_X_LIMITS),
-        r_spares=tuple(args.r_spares) if args.r_spares else (None,),
-        flash_ram_ratios=ratios,
-        solvers=tuple(args.solvers or ("ilp",)),
-        frequency_modes=tuple(args.frequency_modes),
-        timing_models=tuple(args.timing_models or ("flat",)),
-    )
-
-
-def _parse_shard_arg(args, parser):
-    from repro.explore import parse_shard
-    if args.shard is None:
-        return None
     try:
-        return parse_shard(args.shard)
+        return SweepSpec(
+            benchmarks=tuple(args.benchmarks or BENCHMARK_NAMES),
+            opt_levels=tuple(args.levels or ("O2",)),
+            x_limits=tuple(args.x_limits or DEFAULT_X_LIMITS),
+            r_spares=tuple(args.r_spares) if args.r_spares else (None,),
+            flash_ram_ratios=ratios,
+            solvers=tuple(args.solvers or ("ilp",)),
+            frequency_modes=tuple(args.frequency_modes),
+            timing_models=tuple(args.timing_models or ("flat",)),
+        )
     except ValueError as error:
         parser.error(str(error))
 
@@ -313,59 +396,53 @@ def _emit(args, name: str, records: List[dict], meta: Optional[dict] = None) -> 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.telemetry:
+    if getattr(args, "telemetry", None):
         from repro.telemetry import configure_telemetry
-        role = {"work": "worker", "serve": "service"}.get(args.figure, "main")
+        role = {"work": "worker", "serve": "service"}.get(args.verb, "main")
         configure_telemetry(args.telemetry, role=role)
-    if args.workers is None and args.cache_dir is None:
-        engine = default_engine()
-    else:
-        engine = ExperimentEngine(max_workers=args.workers,
-                                  cache_dir=args.cache_dir)
 
-    if args.figure == "figure1":
+    if args.verb == "figure1":
         from repro.evaluation.figure1 import instruction_power_rows
         _emit(args, "figure1", instruction_power_rows())
 
-    elif args.figure == "figure2":
+    elif args.verb == "figure2":
         from repro.evaluation.figure2 import motivating_example_report
         _emit(args, "figure2", [motivating_example_report(x_limit=args.x_limit)])
 
-    elif args.figure == "figure5":
+    elif args.verb == "figure5":
         from repro.evaluation.figure5 import evaluate_suite, summarize
         rows = evaluate_suite(benchmarks=args.benchmarks, levels=args.levels,
                               frequency_modes=tuple(args.frequency_modes),
-                              x_limit=args.x_limit, engine=engine,
+                              x_limit=args.x_limit,
+                              engine=_engine(args.cache_dir, args.workers),
                               max_workers=args.workers)
         _emit(args, "figure5", [row.as_dict() for row in rows],
               meta=summarize(rows))
 
-    elif args.figure == "figure6":
+    elif args.verb == "figure6":
         from repro.evaluation.figure6 import solver_trajectories
-        benchmark = (args.benchmarks or ["int_matmult"])[0]
-        level = (args.levels or ["O2"])[0]
-        trajectories = solver_trajectories(benchmark, level)
+        trajectories = solver_trajectories(args.benchmark, args.level)
         _emit(args, "figure6",
               [dict(row, sweep=sweep) for sweep, rows in trajectories.items()
                for row in rows],
-              meta={"benchmark": benchmark, "opt_level": level})
+              meta={"benchmark": args.benchmark, "opt_level": args.level})
 
-    elif args.figure == "figure9":
+    elif args.verb == "figure9":
         from repro.evaluation.figure9 import period_sweep
         series = period_sweep(benchmarks=args.benchmarks,
-                              opt_level=(args.levels or ["O2"])[0],
-                              x_limit=args.x_limit, engine=engine)
+                              opt_level=args.level, x_limit=args.x_limit,
+                              engine=_engine(args.cache_dir))
         _emit(args, "figure9", [row for rows in series.values() for row in rows])
 
-    elif args.figure == "case-study":
+    elif args.verb == "case-study":
         from repro.evaluation.case_study import case_study_report
-        report = case_study_report(x_limit=args.x_limit, engine=engine)
+        report = case_study_report(x_limit=args.x_limit,
+                                   engine=_engine(args.cache_dir))
         _emit(args, "case_study", [report])
 
-    elif args.figure == "explore":
+    elif args.verb == "explore":
         from repro.explore import execute_sweep
-        sweep = _sweep_from_args(args)
-        shard = _parse_shard_arg(args, parser)
+        sweep = _sweep_from_args(args, parser)
         if args.resume and not args.output:
             parser.error("--resume requires --output (the store to resume)")
         if args.distributed is not None and args.recheck:
@@ -382,7 +459,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         store = ResultStore(args.output) if args.output else None
         if args.distributed is not None:
             summary = execute_sweep(
-                sweep, store=store, name=args.name, shard=shard,
+                sweep, store=store, name=args.name, shard=args.shard,
                 resume=args.resume, workers=args.distributed,
                 progress=args.progress,
                 checkpoint_every=args.checkpoint_every,
@@ -391,8 +468,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cache_dir=args.cache_dir)
         else:
             summary = execute_sweep(
-                sweep, store=store, name=args.name, shard=shard,
-                resume=args.resume, recheck=args.recheck, engine=engine,
+                sweep, store=store, name=args.name, shard=args.shard,
+                resume=args.resume, recheck=args.recheck,
+                engine=_engine(args.cache_dir, args.workers),
                 max_workers=args.workers, progress=args.progress,
                 checkpoint_every=args.checkpoint_every)
         if store is not None:
@@ -402,26 +480,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                        "records": summary["records"]}, sys.stdout, indent=2)
             print()
 
-    elif args.figure == "work":
+    elif args.verb == "work":
         from repro.distrib import run_worker
         from repro.distrib.worker import format_worker_stats
-        if args.workers is not None:
-            parser.error("work runs its cells sequentially; start more "
-                         "'work' processes instead of --workers")
-        if args.port is None:
-            parser.error("work requires --port (the service's port)")
         stats = run_worker(args.host, args.port, throttle=args.throttle,
                            cache_dir=args.cache_dir)
         print(format_worker_stats(stats), file=sys.stderr)
 
-    elif args.figure == "serve":
+    elif args.verb == "serve":
         import time as _time
         from repro.distrib import (DEFAULT_CHECKPOINT_EVERY,
                                    DEFAULT_LEASE_TIMEOUT, PROTOCOL_VERSION,
                                    SweepService)
         store = ResultStore(args.output) if args.output else None
         service = SweepService(
-            host=args.host, port=args.port or 0, store=store,
+            host=args.host, port=args.port, store=store,
             lease_timeout=(DEFAULT_LEASE_TIMEOUT if args.lease_timeout is None
                            else args.lease_timeout),
             checkpoint_every=(DEFAULT_CHECKPOINT_EVERY
@@ -447,11 +520,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             service.shutdown()
         return 1 if failed else 0
 
-    elif args.figure == "submit":
+    elif args.verb == "submit":
         from repro.distrib import ClientError, submit_sweep, wait_for_sweep
-        if args.port is None:
-            parser.error("submit requires --port (the service's port)")
-        sweep = _sweep_from_args(args)
+        sweep = _sweep_from_args(args, parser)
         try:
             reply = submit_sweep(
                 args.host, args.port, sweep, args.name,
@@ -469,12 +540,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"submit failed: {error}", file=sys.stderr)
             return 1
 
-    elif args.figure == "status":
+    elif args.verb == "status":
         from repro.distrib import ClientError, sweep_status
-        if args.port is None:
-            parser.error("status requires --port (the service's port)")
         try:
-            sweeps = sweep_status(args.host, args.port, args.target)
+            sweeps = sweep_status(args.host, args.port, args.name)
         except ClientError as error:
             print(f"status failed: {error}", file=sys.stderr)
             return 1
@@ -483,32 +552,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         for sweep_name, snap in sorted(sweeps.items()):
             print(_format_sweep_line(sweep_name, snap))
 
-    elif args.figure == "cancel":
+    elif args.verb == "cancel":
         from repro.distrib import ClientError, cancel_sweep
-        if args.port is None:
-            parser.error("cancel requires --port (the service's port)")
-        if not args.target:
-            parser.error("cancel requires the sweep name "
-                         "(repro-eval cancel NAME --port P)")
         try:
-            snap = cancel_sweep(args.host, args.port, args.target)
+            snap = cancel_sweep(args.host, args.port, args.name)
         except ClientError as error:
             print(f"cancel failed: {error}", file=sys.stderr)
             return 1
-        print(f"cancelled {args.target}: keeping "
+        print(f"cancelled {args.name}: keeping "
               f"{snap['done']}/{snap['total']} cells "
               f"({snap['leased']} still draining)")
 
-    elif args.figure == "merge":
-        if not args.stores or not args.output:
-            parser.error("merge requires --stores SRC... and --output DIR")
+    elif args.verb == "merge":
         stats = ResultStore(args.output).merge(
             args.name, args.stores, require_disjoint=args.require_disjoint)
         print(f"merged {stats['records']} cells from {stats['sources']} "
               f"stores into {stats['path']} "
               f"({stats['duplicates']} duplicates, all bitwise-identical)")
 
-    elif args.figure == "analyze":
+    elif args.verb == "analyze":
         from repro.analysis import (audit_program_superblocks,
                                     verify_machine_program)
         from repro.placement.optimizer import (FlashRAMOptimizer,
@@ -518,6 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         do_audit = args.audit or not (args.lint or args.audit)
         benchmarks = args.benchmarks or list(BENCHMARK_NAMES)
         levels = args.levels or list(ALL_OPT_LEVELS)
+        engine = _engine(args.cache_dir)
         rows: List[dict] = []
         failures = 0
 
@@ -563,11 +626,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                   meta={"checks": checks, "findings": failures})
         return 1 if failures else 0
 
-    elif args.figure == "metrics":
+    elif args.verb == "metrics":
         from repro.distrib import protocol
         from repro.telemetry import render_prometheus
-        if args.port is None:
-            parser.error("metrics requires --port (the service's port)")
         stream = protocol.connect(args.host, args.port)
         try:
             stream.send({"type": "metrics"})
@@ -580,17 +641,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
         sys.stdout.write(render_prometheus(reply["snapshot"]))
 
-    elif args.figure == "stats":
+    elif args.verb == "stats":
         from repro.telemetry import render_trace_stats
-        trace_dir = args.target or args.telemetry
-        if not trace_dir:
-            parser.error("stats requires a trace directory "
-                         "(positional PATH or --telemetry DIR)")
-        print(render_trace_stats(trace_dir))
+        print(render_trace_stats(args.trace_dir))
 
-    elif args.figure == "report":
-        if not args.store:
-            parser.error("report requires --store DIR (a merged sweep store)")
+    elif args.verb == "report":
         from repro.explore import report_from_store, write_report
         report = report_from_store(ResultStore(args.store), name=args.name)
         if args.output:

@@ -2,7 +2,6 @@
 
 from repro.evaluation.pipeline import (
     BenchmarkRun,
-    run_benchmark,
     run_optimized_benchmark,
 )
 from repro.evaluation.figure1 import instruction_power_rows
@@ -11,11 +10,9 @@ from repro.evaluation.figure5 import evaluate_suite, summarize, suite_specs, Sui
 from repro.evaluation.figure6 import design_space, solver_trajectories
 from repro.evaluation.figure9 import period_sweep
 from repro.evaluation.case_study import case_study_report
-from repro.evaluation.exploration import exploration_report, exploration_sweep
 
 __all__ = [
     "BenchmarkRun",
-    "run_benchmark",
     "run_optimized_benchmark",
     "instruction_power_rows",
     "motivating_example_report",
@@ -27,6 +24,4 @@ __all__ = [
     "solver_trajectories",
     "period_sweep",
     "case_study_report",
-    "exploration_sweep",
-    "exploration_report",
 ]

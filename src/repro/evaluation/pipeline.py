@@ -24,7 +24,6 @@ from repro.sim import EnergyModel
 __all__ = [
     "BenchmarkRun",
     "compile_benchmark",
-    "run_benchmark",
     "run_optimized_benchmark",
 ]
 
@@ -49,12 +48,6 @@ def compile_benchmark(benchmark: Benchmark, opt_level: str = "O2") -> MachinePro
     """
     options = CompileOptions.for_level(opt_level, program_name=benchmark.name)
     return default_cache().get_mutable(benchmark.source, options)
-
-
-def run_benchmark(name: str, opt_level: str = "O2",
-                  energy_model: Optional[EnergyModel] = None) -> BenchmarkRun:
-    """Compile and simulate one benchmark without the optimization."""
-    return _engine_for(energy_model).run_baseline(name, opt_level)
 
 
 def run_optimized_benchmark(name: str, opt_level: str = "O2",

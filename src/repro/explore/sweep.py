@@ -174,9 +174,9 @@ class SweepSpec:
                 object.__setattr__(self, name, tuple(value))
             if not getattr(self, name):
                 raise ValueError(f"sweep axis {name!r} must not be empty")
-        # Unknown names fail here, where the sweep is submitted, not in a
-        # worker that leases the cell.  Names are checked, never rewritten,
-        # so a valid spec keeps its cell keys.
+        # Unknown names and out-of-range numbers fail here, where the sweep
+        # is submitted, not in a worker that leases the cell.  Values are
+        # checked, never rewritten, so a valid spec keeps its cell keys.
         for axis, known in (("benchmarks", BENCHMARK_NAMES),
                             ("solvers", SOLVERS),
                             ("frequency_modes", FREQUENCY_MODES)):
@@ -187,6 +187,18 @@ class SweepSpec:
                                  f"{', '.join(known)}")
         for level in self.opt_levels:
             OptLevel.parse(level)
+        # The bounds build_placement_ilp and scaled_energy_model enforce,
+        # written so that NaN fails them too.
+        for axis, valid, bound in (
+                ("x_limits", lambda x: x >= 1.0, ">= 1.0"),
+                ("r_spares", lambda r: r is None or r >= 0, "None or >= 0"),
+                ("flash_ram_ratios", lambda q: q is None or q > 0,
+                 "None or > 0")):
+            invalid = [value for value in getattr(self, axis)
+                       if not valid(value)]
+            if invalid:
+                raise ValueError(f"sweep axis {axis!r} values must be "
+                                 f"{bound}, got {invalid}")
         # Validate + canonicalize timing models up front (fail fast, and
         # make "pipelined+icache" and its explicit default geometry the
         # same cell identity).

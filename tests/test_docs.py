@@ -73,7 +73,6 @@ ENTRY_POINTS = [
     ("repro.telemetry", "render_prometheus"),
     ("repro.telemetry", "trace_stats"),
     ("repro.telemetry", "render_trace_stats"),
-    ("repro.evaluation.exploration", "exploration_sweep"),
     ("repro.analysis", "verify_machine_program"),
 ]
 

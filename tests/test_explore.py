@@ -126,6 +126,11 @@ def test_sweep_spec_rejects_empty_axes_and_orders_cells():
                           (dict(frequency_modes=("bogus",)), "frequency_modes")):
         with pytest.raises(ValueError, match=f"unknown {message}"):
             SweepSpec(**axes)
+    # So do numbers outside the ILP's and the energy model's domains.
+    for axes in (dict(x_limits=(1.1, 0.5)), dict(x_limits=(float("nan"),)),
+                 dict(r_spares=(None, -64)), dict(flash_ram_ratios=(0.0,))):
+        with pytest.raises(ValueError, match="values must be"):
+            SweepSpec(**axes)
     spec = SweepSpec(benchmarks=["crc32", "fdct"], x_limits=[1.1, 1.5])
     cells = spec.cells()
     assert len(cells) == spec.size == 4

@@ -431,18 +431,24 @@ def test_wire_client_submit_status_list_cancel_roundtrip():
         # A duplicate wire submit is an error *reply*, not a dead service.
         with pytest.raises(ClientError, match="already taken"):
             submit_sweep(service.host, service.port, ALPHA, "wired")
-        # So is a sweep naming an unknown benchmark: it is refused at the
-        # door instead of being leased to workers that would die on it.
-        with connect(service.host, service.port) as stream:
-            stream.send({"type": "hello", "version": PROTOCOL_VERSION,
-                         "worker": "client", "role": "client"})
-            assert stream.recv()["type"] == "welcome"
-            stream.send({"type": "submit", "name": "typo",
-                         "sweep": dict(ALPHA.meta(), benchmarks=["nosuch"])})
-            reply = stream.recv()
-        assert reply["type"] == "error"
-        assert "submit rejected: unknown benchmarks ['nosuch']" in \
-            reply["message"]
+        # So is a sweep naming an unknown benchmark or an out-of-range
+        # axis value: it is refused at the door instead of being leased to
+        # workers that would die on it.
+        for axis, values, message in (
+                ("benchmarks", ["nosuch"], "unknown benchmarks ['nosuch']"),
+                ("x_limits", [0.5], "sweep axis 'x_limits' values must"),
+                ("x_limits", [float("nan")], "sweep axis 'x_limits'"),
+                ("r_spares", [-64], "sweep axis 'r_spares'"),
+                ("flash_ram_ratios", [0], "sweep axis 'flash_ram_ratios'")):
+            with connect(service.host, service.port) as stream:
+                stream.send({"type": "hello", "version": PROTOCOL_VERSION,
+                             "worker": "client", "role": "client"})
+                assert stream.recv()["type"] == "welcome"
+                stream.send({"type": "submit", "name": "typo",
+                             "sweep": dict(ALPHA.meta(), **{axis: values})})
+                reply = stream.recv()
+            assert reply["type"] == "error"
+            assert f"submit rejected: {message}" in reply["message"]
 
         snapshot = cancel_sweep(service.host, service.port, "wired")
         assert snapshot["status"] == "cancelled"  # nothing was in flight
