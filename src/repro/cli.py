@@ -84,7 +84,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.beebs import BENCHMARK_NAMES
 from repro.engine import ExperimentEngine, ResultStore, default_engine
@@ -111,6 +111,16 @@ def _shard(value: str) -> Tuple[int, int]:
         return parse_shard(value)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _count(low: int) -> Callable[[str], int]:
+    """Type of an integer count flag: a value below *low* exits 2."""
+    def count(value: str) -> int:
+        number = int(value)  # not an integer: argparse's "invalid count value"
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
+        return number
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(benchmark, level) once per machine")
     x_limit = option("--x-limit", type=float, default=1.5,
                      help="allowed slowdown factor X_limit (default 1.5)")
-    workers = option("--workers", type=int, default=None,
+    workers = option("--workers", type=_count(1), default=None,
                      help="in-process fan-out for grids (default: cpu count)")
     benchmarks = option("--benchmarks", nargs="*", default=None,
                         choices=BENCHMARK_NAMES, metavar="NAME",
@@ -166,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     name = option("--name", default="sweep", metavar="NAME",
                   help="keyed store file name (default: sweep)")
     checkpoint_every = option(
-        "--checkpoint-every", type=int, default=None, metavar="K",
+        "--checkpoint-every", type=_count(1), default=None, metavar="K",
         help="journal completed cells to the store every K cells (O(batch) "
              "per checkpoint), so --resume restarts from the last checkpoint")
     lease_timeout = option("--lease-timeout", type=float, default=None,
@@ -204,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--resume", action="store_true",
                        help="skip cells already in the --output store and "
                             "append only the missing ones")
-    sweep.add_argument("--batch-size", type=int, default=None, metavar="B",
+    sweep.add_argument("--batch-size", type=_count(1), default=None,
+                       metavar="B",
                        help="most cells per lease; leases shrink as the "
                             "queue drains (default 4; explore: with "
                             "--distributed)")
@@ -240,17 +251,17 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="run only shard I of N (cells are partitioned "
                               "by key hash; every cell lands in exactly one "
                               "shard)")
-    explore.add_argument("--recheck", type=int, default=0, metavar="K",
+    explore.add_argument("--recheck", type=_count(0), default=0, metavar="K",
                          help="with --resume: recompute up to K stored cells "
                               "and fail unless they reproduce bitwise")
-    explore.add_argument("--distributed", type=int, default=None,
+    explore.add_argument("--distributed", type=_count(1), default=None,
                          metavar="N",
                          help="run through a local sweep service with N "
                               "spawned worker processes (dynamic batch "
                               "leasing instead of the in-process pool)")
     submit = verb("submit", "submit a named sweep to a running service",
                   sweep, output, client)
-    submit.add_argument("--priority", type=int, default=1, metavar="P",
+    submit.add_argument("--priority", type=_count(1), default=1, metavar="P",
                         help="integer lease-scheduling weight; a priority-3 "
                              "sweep holds ~3x the outstanding cells of a "
                              "priority-1 sweep (default 1)")

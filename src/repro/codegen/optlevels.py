@@ -13,7 +13,9 @@ faces the same instance at each of them:
 * fdct, int_matmult and sha: O2 and Os.
 
 Only float_matmult and rijndael differ at every level; the 50 (kernel, level)
-pairs compile to 38 distinct programs.
+pairs compile to 38 distinct programs.  The experiment engine names programs
+by :meth:`~repro.engine.cache.ProgramCache.digest`, so within one engine a
+collapsed level's placement is solved and simulated once, not per level.
 
 * ``O0`` — no IR optimization, spill-everything register allocation.
 * ``O1`` — constant folding, block-local copy propagation, DCE, CFG cleanup,

@@ -3,12 +3,13 @@
 This subsystem is the single path every figure, benchmark and example uses to
 run compile→optimize→simulate experiments:
 
-* :class:`ProgramCache` — content-addressed compile-once cache
-  (`repro.engine.cache`);
+* :class:`ProgramCache` — content-addressed compile-once cache that also
+  names each compiled program by a digest (`repro.engine.cache`);
 * :class:`ExperimentEngine` / :class:`ExperimentSpec` — single experiments and
-  parallel grids with deterministic ordering; each engine simulates every
-  distinct (program, timing model, RAM set) once and prices the run under
-  each cell's energy model (`repro.engine.engine`);
+  parallel grids with deterministic ordering; each engine solves every
+  distinct (program digest, placement config, energy model) once, simulates
+  every distinct (program digest, timing model, RAM set) once and prices the
+  run under each cell's energy model (`repro.engine.engine`);
 * :class:`BenchmarkRun` / :class:`ResultStore` — result records and JSON
   persistence for cross-run comparison (`repro.engine.results`).
 

@@ -33,6 +33,14 @@ on BEEBS-sized programs and identical in effect: the ``__reduce__``/
 ``__deepcopy__`` hooks in :mod:`repro.isa` keep register singletons, and
 :class:`~repro.machine.blocks.MachineBlock` drops its decode cache either
 way.
+
+The key says how a program was *asked for*; :meth:`ProgramCache.digest`
+says what was *compiled*: the SHA-256 of the same snapshot, memoised per
+key.  Equal digests mean equal snapshot bytes, which unpickle to the same
+program, so levels that emit identical machine code (O2 and Os of fdct,
+say) share one digest and the engine computes their results once.  The
+digest is taken on first request, never inside :meth:`ProgramCache.get`,
+so a cold compile does no hashing.
 """
 
 from __future__ import annotations
@@ -151,6 +159,7 @@ class ProgramCache:
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self._programs: Dict[Tuple, MachineProgram] = {}
         self._snapshots: Dict[Tuple, bytes] = {}
+        self._digests: Dict[Tuple, str] = {}
         self._lock = threading.Lock()
         self.cache_dir = None if cache_dir is None else os.fspath(cache_dir)
         self.stats = CacheStats()
@@ -201,20 +210,43 @@ class ProgramCache:
                     options: Optional[CompileOptions] = None) -> MachineProgram:
         """A private copy of the cached program, safe to transform in place.
 
-        Materialised with ``pickle.loads`` from a per-key ``pickle.dumps``
-        snapshot taken once (cached instances are pristine and never mutated,
-        so the snapshot can never go stale).
+        Materialised with ``pickle.loads`` from the key's snapshot.
         """
         options = options or CompileOptions()
         program = self.get(source, options)
+        return pickle.loads(self._snapshot(program_key(source, options),
+                                           program))
+
+    def digest(self, source: str,
+               options: Optional[CompileOptions] = None) -> str:
+        """SHA-256 (hex) of the compiled program's ``pickle`` snapshot.
+
+        Two (source, options) pairs that compile to the same machine program
+        share a digest, so it identifies what runs rather than how it was
+        requested.  Computed on first request and memoised per key.
+        """
+        options = options or CompileOptions()
         key = program_key(source, options)
+        with self._lock:
+            digest = self._digests.get(key)
+        if digest is None:
+            snapshot = self._snapshot(key, self.get(source, options))
+            digest = hashlib.sha256(snapshot).hexdigest()
+            with self._lock:
+                digest = self._digests.setdefault(key, digest)
+        return digest
+
+    def _snapshot(self, key: Tuple, program: MachineProgram) -> bytes:
+        """The ``pickle.dumps`` of *key*'s cached *program*, taken once
+        (cached instances are pristine and never mutated, so the snapshot
+        can never go stale)."""
         with self._lock:
             snapshot = self._snapshots.get(key)
         if snapshot is None:
             snapshot = pickle.dumps(program, protocol=_PICKLE_PROTOCOL)
             with self._lock:
                 snapshot = self._snapshots.setdefault(key, snapshot)
-        return pickle.loads(snapshot)
+        return snapshot
 
     # ------------------------------------------------------------------ #
     # Disk tier
@@ -289,16 +321,16 @@ class ProgramCache:
         """Private mutable copy of a registered BEEBS benchmark's program."""
         return self.get_mutable(*_benchmark_inputs(name, opt_level))
 
-    @staticmethod
-    def benchmark_key(name: str, opt_level: str = "O2") -> Tuple:
-        """The cache key of a BEEBS benchmark's program, without compiling."""
-        return program_key(*_benchmark_inputs(name, opt_level))
+    def benchmark_digest(self, name: str, opt_level: str = "O2") -> str:
+        """:meth:`digest` of a registered BEEBS benchmark's program."""
+        return self.digest(*_benchmark_inputs(name, opt_level))
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
         with self._lock:
             self._programs.clear()
             self._snapshots.clear()
+            self._digests.clear()
             self.stats = CacheStats()
 
     def __len__(self) -> int:

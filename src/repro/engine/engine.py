@@ -10,17 +10,31 @@ Every figure, benchmark and example funnels through
 3. copies the pristine program for the placement optimizer, which selects
    a RAM set and rewrites blocks in place, and simulates the placed copy.
 
-Simulations are memoised per engine.  A run's cycles, profile, return value
-and integer energy-event counts depend on the program, its RAM set and the
-timing model, never on the energy model, so the memo is keyed on (program
-cache key, canonical timing model, sorted RAM set — ``None`` for the
-baseline) and each cell prices the stored counts under its own energy model
-(:meth:`~repro.sim.SimulationResult.priced`, the same reduction a fresh
-simulation ends with, so a priced result equals a fresh one bitwise).  A
-hit skips only the simulation: the copy, block selection and transform
-still run per cell, because the transform fills ``solution.instrumented``,
-which records store.  The memo holds at most :data:`SIMULATION_MEMO_CAP`
-runs (oldest evicted first), so a long-lived worker stays bounded.
+Work is memoised per engine on what was *compiled*, not on how it was asked
+for: programs are named by :meth:`~repro.engine.cache.ProgramCache.digest`,
+the SHA-256 of their pickled image, so optimization levels that emit the
+same machine code (O2 and Os of fdct, say) are solved and simulated once.
+
+* **Simulations.**  A run's cycles, profile, return value and integer
+  energy-event counts depend on the program, its RAM set and the timing
+  model, never on the energy model, so the memo is keyed on (program
+  digest, canonical timing model, sorted RAM set — ``None`` for the
+  baseline) and each cell prices the stored counts under its own energy
+  model (:meth:`~repro.sim.SimulationResult.priced`, the same reduction a
+  fresh simulation ends with, so a priced result equals a fresh one
+  bitwise).
+* **Placements.**  A cell's solution, ``F_b`` fidelity report and placed
+  program depend on the program digest, every :class:`PlacementConfig`
+  field (timing model canonical) and the energy model's full content; a
+  profile-mode cell's profile is itself the memoised baseline's.  A hit
+  returns copies of the stored solution and report and prices the stored
+  optimized run, skipping the copy, parameter extraction, solve, transform
+  and simulation; the return-value check still runs.
+
+Every memoised value is a deterministic function of its key, so a cell's
+bytes do not depend on which cells ran before it in the same engine.  Each
+memo holds at most :data:`SIMULATION_MEMO_CAP` entries (oldest evicted
+first), so a long-lived worker stays bounded.
 
 Grids (benchmark × opt level × frequency mode) fan out over a
 ``concurrent.futures.ProcessPoolExecutor`` with deterministic result
@@ -37,22 +51,30 @@ model share their simulations through the memo.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import ProgramCache, default_cache
 from repro.engine.results import BenchmarkRun
 from repro.machine.program import MachineProgram
-from repro.placement import FlashRAMOptimizer, PlacementConfig
+from repro.placement import (FlashRAMOptimizer, PlacementConfig,
+                             PlacementSolution)
 from repro.sim import EnergyModel, SimulationResult, Simulator, TimingSpec
 from repro.telemetry import get_telemetry
 
-#: Most simulations one engine keeps for reuse.  A 72-cell Figure 5/6 grid
-#: needs 40; past the cap the oldest entry is evicted.
+#: Most simulations, and most placements, one engine keeps for reuse.  A
+#: 72-cell Figure 5/6 grid needs 24 and 48; past the cap the oldest entry
+#: is evicted.
 SIMULATION_MEMO_CAP = 1024
+
+#: A memoised placement: the solution, its ``F_b`` fidelity report and the
+#: optimized run of the placed program.
+Placement = Tuple[PlacementSolution, Dict[str, float], SimulationResult]
 
 
 def frequency_fidelity(parameters, profile) -> Dict[str, float]:
@@ -128,9 +150,11 @@ class ExperimentEngine:
         #: ``cache_dir`` locally, but its directory still propagates).
         self.cache_dir = self.cache.cache_dir if cache is not None else cache_dir
         self.max_workers = max_workers
-        #: Simulations by (program key, timing model, RAM set or None for
-        #: the baseline), in insertion order for eviction.
+        #: Simulations by (program digest, timing model, RAM set or None
+        #: for the baseline), in insertion order for eviction.
         self._simulations: Dict[Tuple, SimulationResult] = {}
+        #: Placements by (program digest, placement config, energy model).
+        self._placements: Dict[Tuple, Placement] = {}
         #: Latest cache-stats snapshot per pool worker, keyed by
         #: ``(pool_epoch, pid)`` — pids can be reused across pools, and each
         #: worker's snapshot is cumulative within its pool, so "latest per
@@ -151,7 +175,7 @@ class ExperimentEngine:
         return self.cache.get_benchmark_mutable(name, opt_level)
 
     # ------------------------------------------------------------------ #
-    # Simulation memo
+    # Memos
     # ------------------------------------------------------------------ #
     def _memo_key(self, name: str, opt_level: str, timing_model: str,
                   ram_blocks: Optional[Iterable[str]] = None) -> Tuple:
@@ -162,24 +186,31 @@ class ExperimentEngine:
         :class:`PlacementConfig` default for every cell of the engine.
         """
         placed = None if ram_blocks is None else tuple(sorted(ram_blocks))
-        return (self.cache.benchmark_key(name, opt_level),
+        return (self.cache.benchmark_digest(name, opt_level),
                 TimingSpec.parse(timing_model).name, placed)
+
+    def _placement_key(self, name: str, opt_level: str,
+                       config: PlacementConfig,
+                       energy_model: EnergyModel) -> Tuple:
+        """What a placement depends on: the program, every config field
+        and every energy-model field (pickled, so equal keys mean equal
+        models down to the bit)."""
+        timing_model = TimingSpec.parse(config.timing_model).name
+        return (self.cache.benchmark_digest(name, opt_level),
+                astuple(replace(config, timing_model=timing_model)),
+                pickle.dumps(energy_model, protocol=pickle.HIGHEST_PROTOCOL))
 
     def _recall(self, key: Tuple,
                 energy_model: EnergyModel) -> Optional[SimulationResult]:
         """The memoised run for *key* priced under *energy_model*, if any."""
         result = self._simulations.get(key)
-        if result is None:
-            return None
-        hub = get_telemetry()
-        if hub.enabled:
-            hub.add("sim.reused")
-        return result.priced(energy_model)
+        return None if result is None else _priced(result, energy_model)
 
-    def _remember(self, key: Tuple, result: SimulationResult) -> None:
-        if len(self._simulations) >= SIMULATION_MEMO_CAP:
-            del self._simulations[next(iter(self._simulations))]
-        self._simulations[key] = result
+    @staticmethod
+    def _remember(memo: Dict, key: Tuple, value) -> None:
+        if len(memo) >= SIMULATION_MEMO_CAP:
+            del memo[next(iter(memo))]
+        memo[key] = value
 
     # ------------------------------------------------------------------ #
     # Single experiments
@@ -187,33 +218,29 @@ class ExperimentEngine:
     def _baseline(self, name: str, opt_level: str, timing_model: str,
                   energy_model: EnergyModel) -> SimulationResult:
         """Simulate the unmodified program (memoised, priced per call)."""
-        key = self._memo_key(name, opt_level, timing_model)
+        hub = get_telemetry()
+        # The program's first digest compiles it (unless cached) and hashes
+        # its snapshot; later ones are lookups.
+        with hub.span("compile", benchmark=name, opt_level=opt_level):
+            key = self._memo_key(name, opt_level, timing_model)
         result = self._recall(key, energy_model)
         if result is None:
-            hub = get_telemetry()
-            with hub.span("compile", benchmark=name, opt_level=opt_level):
-                program = self.compile_benchmark(name, opt_level)
+            program = self.compile_benchmark(name, opt_level)
             with hub.span("simulate", stage="baseline"):
                 result = Simulator(program, energy_model=energy_model,
                                    timing_model=timing_model).run()
-            self._remember(key, result)
+            self._remember(self._simulations, key, result)
         return result
 
-    def _optimized(self, spec: ExperimentSpec,
-                   energy_model: EnergyModel) -> BenchmarkRun:
-        """Baseline, optimize a private copy, simulate it (memoised)."""
+    def _place(self, spec: ExperimentSpec, config: PlacementConfig,
+               baseline: SimulationResult,
+               energy_model: EnergyModel) -> Placement:
+        """Optimize a private copy of the program and simulate it."""
         hub = get_telemetry()
         name, opt_level = spec.benchmark, spec.opt_level
-        timing_model = spec.timing_model
-        baseline = self._baseline(name, opt_level, timing_model, energy_model)
-
         with hub.span("compile", benchmark=name, opt_level=opt_level,
                       stage="mutable"):
             optimized_program = self.compile_benchmark_mutable(name, opt_level)
-        config = PlacementConfig(x_limit=spec.x_limit, r_spare=spec.r_spare,
-                                 frequency_mode=spec.frequency_mode,
-                                 solver=spec.solver,
-                                 timing_model=timing_model)
         optimizer = FlashRAMOptimizer(optimized_program,
                                       energy_model=energy_model,
                                       config=config)
@@ -222,15 +249,43 @@ class ExperimentEngine:
         with hub.span("placement.solve", solver=spec.solver):
             solution = optimizer.optimize(profile=profile)
         fb_report = frequency_fidelity(optimizer.parameters, baseline.profile)
-        key = self._memo_key(name, opt_level, timing_model,
+        key = self._memo_key(name, opt_level, spec.timing_model,
                              solution.ram_blocks)
         optimized = self._recall(key, energy_model)
         if optimized is None:
             with hub.span("simulate", stage="optimized"):
                 optimized = Simulator(optimized_program,
                                       energy_model=energy_model,
-                                      timing_model=timing_model).run()
-            self._remember(key, optimized)
+                                      timing_model=spec.timing_model).run()
+            self._remember(self._simulations, key, optimized)
+        return solution, fb_report, optimized
+
+    def _optimized(self, spec: ExperimentSpec,
+                   energy_model: EnergyModel) -> BenchmarkRun:
+        """Baseline, then the cell's placement and its run (memoised)."""
+        name, opt_level = spec.benchmark, spec.opt_level
+        baseline = self._baseline(name, opt_level, spec.timing_model,
+                                  energy_model)
+        config = PlacementConfig(x_limit=spec.x_limit, r_spare=spec.r_spare,
+                                 frequency_mode=spec.frequency_mode,
+                                 solver=spec.solver,
+                                 timing_model=spec.timing_model)
+        key = self._placement_key(name, opt_level, config, energy_model)
+        stored = self._placements.get(key)
+        if stored is None:
+            solution, fb_report, optimized = self._place(
+                spec, config, baseline, energy_model)
+            # The memo keeps its own copies: callers may mutate theirs.
+            self._remember(self._placements, key,
+                           (copy.deepcopy(solution), dict(fb_report),
+                            optimized))
+        else:
+            hub = get_telemetry()
+            if hub.enabled:
+                hub.add("placement.reused")
+            solution = copy.deepcopy(stored[0])
+            fb_report = dict(stored[1])
+            optimized = _priced(stored[2], energy_model)
 
         if optimized.return_value != baseline.return_value:
             raise AssertionError(
@@ -378,6 +433,15 @@ class ExperimentEngine:
         """
         return self.run_cells([(spec, None) for spec in specs],
                               max_workers=max_workers)
+
+
+def _priced(result: SimulationResult,
+            energy_model: EnergyModel) -> SimulationResult:
+    """A memoised *result* priced under *energy_model* (a ``sim.reused``)."""
+    hub = get_telemetry()
+    if hub.enabled:
+        hub.add("sim.reused")
+    return result.priced(energy_model)
 
 
 # --------------------------------------------------------------------------- #

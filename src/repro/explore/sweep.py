@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -204,6 +205,14 @@ class SweepSpec:
         # same cell identity).
         object.__setattr__(self, "timing_models", tuple(
             TimingSpec.parse(model).name for model in self.timing_models))
+        # A repeated value would enumerate one experiment twice; the
+        # executors' cell-key collision checks are for real hash clashes.
+        for axis in self.AXES:
+            repeated = [value for value, count
+                        in Counter(getattr(self, axis)).items() if count > 1]
+            if repeated:
+                raise ValueError(f"sweep axis {axis!r} repeats the value "
+                                 f"{repeated[0]!r}")
 
     @property
     def size(self) -> int:

@@ -68,11 +68,32 @@ def test_explore_report_merge_and_stats_compose(tmp_path, capsys, clean_hub):
      "unrecognized arguments: --shard 0/2"),
     (["stats"], "required: TRACE_DIR"),
     (["explore", "--x-limits", "0.5"], "'x_limits' values must be >= 1.0"),
+    (["explore", "--x-limits", "1.1", "1.1"],
+     "sweep axis 'x_limits' repeats the value 1.1"),
+    (["explore", "--timing-models", "pipelined+icache",
+      "pipelined+icache:16x16"],
+     "'timing_models' repeats the value 'pipelined+icache:16x16'"),
+    (["explore", "--distributed", "1", "--batch-size", "0"],
+     "argument --batch-size: must be >= 1, got 0"),
+    (["submit", "--priority", "0", "--port", "1"],
+     "argument --priority: must be >= 1, got 0"),
+    (["serve", "--checkpoint-every", "-1"],
+     "argument --checkpoint-every: must be >= 1, got -1"),
+    (["explore", "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+    (["explore", "--distributed", "0"],
+     "argument --distributed: must be >= 1, got 0"),
+    (["explore", "--recheck", "-1"],
+     "argument --recheck: must be >= 0, got -1"),
+    (["figure5", "--workers", "two"],
+     "argument --workers: invalid count value: 'two'"),
 ], ids=["coordinate", "fixed-batches", "work-workers", "work-no-port",
         "batch-size-in-process", "cancel-no-name", "unknown-benchmark",
         "unknown-level", "unknown-timing-model", "figure1-sweep-flags",
         "figure6-two-benchmarks", "figure9-two-levels", "status-workers",
-        "submit-shard", "stats-no-trace-dir", "x-limit-below-one"])
+        "submit-shard", "stats-no-trace-dir", "x-limit-below-one",
+        "repeated-x-limit", "repeated-timing-model", "batch-size-zero",
+        "priority-zero", "checkpoint-every-negative", "workers-zero",
+        "distributed-zero", "recheck-negative", "workers-not-a-number"])
 def test_inapplicable_inputs_exit_with_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -172,7 +193,7 @@ def test_every_ci_invocation_parses():
     """CI drives the CLI from shell steps no local run executes, so a
     change that breaks one of them must fail here."""
     commands = ci_cli_commands()
-    assert len(commands) == 30
+    assert len(commands) == 31
     parser = _build_parser()
     for argv in commands:
         try:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.engine.cache as cache_module
+import repro.engine.engine as engine_module
 from repro.beebs import get_benchmark
 from repro.codegen import CompileOptions, compile_source
 from repro.engine import (
@@ -223,9 +224,10 @@ def test_evaluate_suite_through_engine_matches_direct_runs():
 # --------------------------------------------------------------------------- #
 # Simulation reuse: one simulation per placed program, priced per cell
 # --------------------------------------------------------------------------- #
-#: 16 cells over 4 baselines; the ratio axis never changes what runs, and
-#: X_limits that pick the same RAM set share a placement.
-REUSE_SWEEP = SweepSpec(benchmarks=("crc32", "fdct"), opt_levels=("O2",),
+#: 32 cells over 6 baselines: fdct compiles to one program at O2 and Os,
+#: crc32 to two.  The ratio axis never changes what runs, X_limits that pick
+#: the same RAM set share a placement, and level twins share everything.
+REUSE_SWEEP = SweepSpec(benchmarks=("crc32", "fdct"), opt_levels=("O2", "Os"),
                         x_limits=(1.05, 1.3), flash_ram_ratios=(1.4, 1.7),
                         timing_models=("flat", "pipelined"))
 
@@ -256,13 +258,16 @@ def test_sweep_simulates_each_placed_program_once(monkeypatch):
                                   max_workers=1)
         assert canonical(cell_record(cell, alone)) == canonical(record)
 
-    # (b) One simulation per distinct baseline and per distinct placement.
+    # (b) One simulation per distinct baseline and per distinct placement,
+    # where "distinct" is the compiled program, not the level that asked.
     baselines, placements = set(), set()
     for record in records:
-        program = (record["benchmark"], record["opt_level"],
+        program = (cache.benchmark_digest(record["benchmark"],
+                                          record["opt_level"]),
                    record.get("timing_model", "flat"))
         baselines.add(program)
         placements.add(program + (tuple(record["ram_blocks"]),))
+    assert len(baselines) == 6
     assert len(simulated) == len(baselines) + len(placements)
     assert len(simulated) < 2 * len(cells)
 
@@ -272,10 +277,11 @@ def test_sweep_simulates_each_placed_program_once(monkeypatch):
     for cell, run in zip(cells, runs):
         if cell.flash_ram_ratio != 1.4 or cell.spec.x_limit != 1.3:
             continue
-        name, timing = cell.spec.benchmark, cell.spec.timing_model
-        placed = cache.get_benchmark_mutable(name, "O2")
+        name, level = cell.spec.benchmark, cell.spec.opt_level
+        timing = cell.spec.timing_model
+        placed = cache.get_benchmark_mutable(name, level)
         apply_placement(placed, run.solution.ram_blocks)
-        for stored, program in ((run.baseline, cache.get_benchmark(name, "O2")),
+        for stored, program in ((run.baseline, cache.get_benchmark(name, level)),
                                 (run.optimized, placed)):
             priced = stored.priced(other)
             fresh = Simulator(program, energy_model=other,
@@ -285,6 +291,34 @@ def test_sweep_simulates_each_placed_program_once(monkeypatch):
             assert result_tuple(priced) == result_tuple(fresh)
         # The baseline runs from flash, so the two models really differ.
         assert run.baseline.priced(other).energy_j != run.baseline.energy_j
+
+
+def test_bounded_memos_stay_exact_under_eviction(monkeypatch):
+    """With room for two entries per memo, fdct Os reuses both of its O2
+    twin's placements, the first after its simulation was evicted; every
+    record must still equal the unbounded engine's."""
+    sweep = SweepSpec(benchmarks=("crc32", "fdct"), opt_levels=("O2", "Os"),
+                      x_limits=(1.05, 1.3), flash_ram_ratios=(1.4,))
+    cells = sweep.cells()
+    cache = ProgramCache()
+    roomy = run_sweep_cells(cells, ExperimentEngine(cache=cache),
+                            max_workers=1)
+    solves = []
+    real_optimize = FlashRAMOptimizer.optimize
+
+    def counting_optimize(optimizer, *args, **kwargs):
+        solves.append(optimizer.config.x_limit)
+        return real_optimize(optimizer, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "SIMULATION_MEMO_CAP", 2)
+    monkeypatch.setattr(FlashRAMOptimizer, "optimize", counting_optimize)
+    engine = ExperimentEngine(cache=cache)
+    tight = run_sweep_cells(cells, engine, max_workers=1)
+    assert len(engine._simulations) == len(engine._placements) == 2
+    assert len(solves) == len(cells) - 2
+    for cell, expected, run in zip(cells, roomy, tight):
+        assert canonical(cell_record(cell, run)) == \
+            canonical(cell_record(cell, expected))
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """Tests for the design-space exploration subsystem and incremental model."""
 
 import random
+import re
 
 import pytest
 
@@ -130,6 +131,19 @@ def test_sweep_spec_rejects_empty_axes_and_orders_cells():
     for axes in (dict(x_limits=(1.1, 0.5)), dict(x_limits=(float("nan"),)),
                  dict(r_spares=(None, -64)), dict(flash_ram_ratios=(0.0,))):
         with pytest.raises(ValueError, match="values must be"):
+            SweepSpec(**axes)
+    # A repeated value is one cell twice, named by axis and value; timing
+    # models repeat once canonical.
+    for axes, message in (
+            (dict(x_limits=(1.1, 1.5, 1.1)),
+             "'x_limits' repeats the value 1.1"),
+            (dict(benchmarks=("crc32", "crc32")),
+             "'benchmarks' repeats the value 'crc32'"),
+            (dict(flash_ram_ratios=(None, None)),
+             "'flash_ram_ratios' repeats the value None"),
+            (dict(timing_models=("pipelined+icache", "pipelined+icache:16x16")),
+             "'timing_models' repeats the value 'pipelined+icache:16x16'")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             SweepSpec(**axes)
     spec = SweepSpec(benchmarks=["crc32", "fdct"], x_limits=[1.1, 1.5])
     cells = spec.cells()

@@ -1,8 +1,8 @@
 """Tests for the pipelined/cached timing model and its sweep axis.
 
 Covers the bitwise-determinism contract (flat runs and flat stores are
-byte-identical to pre-axis behaviour, pipelined stores to a committed
-pipelined reference), the pipelined simulator semantics
+byte-identical to pre-axis behaviour, pipelined and two-level stores to
+committed references), the pipelined simulator semantics
 (deterministic, slower than flat without a cache, faster again with one),
 the ``TimingSpec`` parser, the ``SweepSpec`` axis round trip, cell-key
 stability, and the pipelined placement cost model.
@@ -33,6 +33,13 @@ REFERENCE_STORE = os.path.join(os.path.dirname(__file__), "data",
 #: paths as well as the icache and hazard accounting.
 PIPELINED_REFERENCE_STORE = os.path.join(os.path.dirname(__file__), "data",
                                          "reference_pipelined_sweep.json")
+#: Two-level twin of REFERENCE_STORE, written by ``repro-eval explore
+#: --benchmarks crc32 fdct --levels O2 Os --x-limits 1.05 1.5
+#: --flash-ram-ratios 1.4 1.7 --solvers ilp greedy --workers 1``.  fdct
+#: compiles to one program at O2 and Os and crc32 to two, so it pins cells
+#: the engine computes once for two levels next to cells it cannot share.
+LEVELS_REFERENCE_STORE = os.path.join(os.path.dirname(__file__), "data",
+                                      "reference_levels_sweep.json")
 
 
 def simulate(name="crc32", timing_model="flat"):
@@ -205,6 +212,10 @@ def test_flat_store_bytes_identical_to_reference(tmp_path):
 
 def test_pipelined_store_bytes_identical_to_reference(tmp_path):
     assert rerun_store_matches(PIPELINED_REFERENCE_STORE, tmp_path)
+
+
+def test_levels_store_bytes_identical_to_reference(tmp_path):
+    assert rerun_store_matches(LEVELS_REFERENCE_STORE, tmp_path)
 
 
 def test_pipelined_sweep_records_tag_timing_model():

@@ -431,15 +431,17 @@ def test_wire_client_submit_status_list_cancel_roundtrip():
         # A duplicate wire submit is an error *reply*, not a dead service.
         with pytest.raises(ClientError, match="already taken"):
             submit_sweep(service.host, service.port, ALPHA, "wired")
-        # So is a sweep naming an unknown benchmark or an out-of-range
-        # axis value: it is refused at the door instead of being leased to
-        # workers that would die on it.
+        # So is a sweep naming an unknown benchmark, an out-of-range axis
+        # value or a repeated one: it is refused at the door instead of
+        # being leased to workers that would die on it.
         for axis, values, message in (
                 ("benchmarks", ["nosuch"], "unknown benchmarks ['nosuch']"),
                 ("x_limits", [0.5], "sweep axis 'x_limits' values must"),
                 ("x_limits", [float("nan")], "sweep axis 'x_limits'"),
                 ("r_spares", [-64], "sweep axis 'r_spares'"),
-                ("flash_ram_ratios", [0], "sweep axis 'flash_ram_ratios'")):
+                ("flash_ram_ratios", [0], "sweep axis 'flash_ram_ratios'"),
+                ("x_limits", [1.1, 1.1],
+                 "sweep axis 'x_limits' repeats the value 1.1")):
             with connect(service.host, service.port) as stream:
                 stream.send({"type": "hello", "version": PROTOCOL_VERSION,
                              "worker": "client", "role": "client"})

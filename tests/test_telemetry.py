@@ -319,6 +319,39 @@ def test_local_sweep_is_byte_identical_with_telemetry(tmp_path, clean_hub):
             <= counters["sim.instructions"])
 
 
+#: fdct compiles to one program at O2 and Os, crc32 to two.
+TWIN_SWEEP = SweepSpec(benchmarks=("crc32", "fdct"), opt_levels=("O2", "Os"),
+                       x_limits=(1.1, 1.5))
+
+
+def test_level_twins_are_solved_and_simulated_once(tmp_path, clean_hub):
+    engine = fresh_engine()
+    configure_telemetry(tmp_path / "trace", role="main")
+    store = ResultStore(tmp_path / "store")
+    execute_sweep(TWIN_SWEEP, store=store, engine=engine, max_workers=1)
+    reset_telemetry(clear_env=True)
+
+    events, _skipped = load_events(tmp_path / "trace")
+    spans = Counter(e.get("name") for e in events if e.get("event") == "span")
+    counters = trace_stats(tmp_path / "trace")["counters"]
+    # Every optimized cell either solves or reuses its twin's placement,
+    # and a reused placement opens no solve span.
+    assert (spans["placement.solve"] + counters.get("placement.reused", 0)
+            == TWIN_SWEEP.size)
+    assert counters["placement.reused"] == 2  # fdct Os at both X_limits
+    baselines, placements = set(), set()
+    for record in store.load_keyed("sweep").values():
+        program = (engine.cache.benchmark_digest(record["benchmark"],
+                                                 record["opt_level"]),
+                   record.get("timing_model", "flat"))
+        baselines.add(program)
+        placements.add(program + (tuple(record["ram_blocks"]),))
+    assert len(baselines) == 3
+    assert counters["sim.runs"] == len(baselines) + len(placements)
+    assert (counters["sim.runs"] + counters.get("sim.reused", 0)
+            == 2 * TWIN_SWEEP.size)
+
+
 def test_distributed_telemetry_sigkill_stays_bitwise(tmp_path, clean_hub):
     mono = ResultStore(tmp_path / "mono")
     execute_sweep(TEST_SWEEP, store=mono, engine=fresh_engine(),
