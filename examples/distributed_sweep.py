@@ -60,7 +60,7 @@ def main() -> int:
 
     try:
         deadline = time.monotonic() + 120.0
-        while service.job_stats("sweep")["leases"] < 2:
+        while service.metrics_snapshot()["leases"] < 2:
             if time.monotonic() > deadline:
                 print("workers never took their leases", file=sys.stderr)
                 return 1

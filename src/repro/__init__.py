@@ -44,7 +44,6 @@ from repro.engine import (
 from repro.explore import (
     SweepSpec,
     pareto_records,
-    profile_guided_placement,
     run_sweep,
 )
 from repro.placement import (
@@ -72,7 +71,6 @@ __all__ = [
     "SweepSpec",
     "run_sweep",
     "pareto_records",
-    "profile_guided_placement",
     "FlashRAMOptimizer",
     "PlacementConfig",
     "PlacementSolution",

@@ -8,11 +8,17 @@ it, and a watchdog that fails fast if the whole fleet dies before the sweep
 is done (a lone service would otherwise wait forever for workers that will
 never return).  The summary dict is shaped exactly like
 :func:`repro.explore.execute_sweep`'s, plus a ``distrib`` stats block.
+
+Each spawned worker starts with one BLAS thread (:data:`BLAS_THREAD_PINS`)
+unless the caller set its own count: numpy sizes its thread pools when it
+loads, and N workers each running a default-sized pool oversubscribe the
+machine the fleet is meant to share.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.distrib.service import (
@@ -25,6 +31,10 @@ from repro.distrib.service import (
 from repro.distrib.worker import worker_process_entry
 from repro.engine.results import ResultStore
 from repro.explore.sweep import SweepSpec
+
+#: BLAS thread-pool sizes a spawned worker reads when it imports numpy.
+BLAS_THREAD_PINS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def execute_sweep_distributed(sweep: SweepSpec,
@@ -72,18 +82,26 @@ def execute_sweep_distributed(sweep: SweepSpec,
     # lock state.  Spawned workers import a clean interpreter.
     context = multiprocessing.get_context("spawn")
     processes = []
+    # A spawned child inherits os.environ as it is at start(); the pins
+    # the caller did not set are removed again once every worker is up.
+    pinned = [pin for pin in BLAS_THREAD_PINS if pin not in os.environ]
     try:
-        for index, kwargs in enumerate(options):
-            kwargs = dict(kwargs)
-            kwargs.setdefault("name", f"local-{index}")
-            if cache_dir is not None:
-                kwargs.setdefault("cache_dir", cache_dir)
-            process = context.Process(
-                target=worker_process_entry,
-                args=(service.host, service.port),
-                kwargs=kwargs, name=f"sweep-worker-{index}", daemon=True)
-            process.start()
-            processes.append(process)
+        os.environ.update((pin, "1") for pin in pinned)
+        try:
+            for index, kwargs in enumerate(options):
+                kwargs = dict(kwargs)
+                kwargs.setdefault("name", f"local-{index}")
+                if cache_dir is not None:
+                    kwargs.setdefault("cache_dir", cache_dir)
+                process = context.Process(
+                    target=worker_process_entry,
+                    args=(service.host, service.port),
+                    kwargs=kwargs, name=f"sweep-worker-{index}", daemon=True)
+                process.start()
+                processes.append(process)
+        finally:
+            for pin in pinned:
+                os.environ.pop(pin, None)
 
         waited = 0.0
         while not service.wait(name, 0.5):

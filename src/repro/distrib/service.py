@@ -11,9 +11,11 @@ one-machine ``execute_sweep(..., workers=N)`` path.
 
 * **Named sweeps.**  ``submit()`` (in process or over the wire) registers a
   :class:`SweepJob` under a unique name.  Every job keeps its own pending
-  queue, stored/completed records, journal tail and throughput EWMA, so
-  tenants cannot observe each other through shared counters or shared
-  store files.
+  queue, lease counters and throughput EWMA, and its own
+  :class:`~repro.explore.sweep.SweepLedger` — the records, journal tail and
+  store writes ``execute_sweep`` uses in process — so tenants cannot
+  observe each other through shared counters or shared store files.  The
+  service schedules and locks; the ledger decides what is written.
 * **Priority scheduling.**  Leases are handed out by weighted fair share:
   each admitting job is scored ``priority / (leased_cells + 1)`` and the
   highest score wins (ties break to higher priority, then submission
@@ -30,14 +32,16 @@ one-machine ``execute_sweep(..., workers=N)`` path.
   bound of fixed cuts).
 * **Cancellation.**  ``cancel()`` stops leasing a sweep immediately;
   in-flight leases drain (their results are still accepted and journaled),
-  then the journal is compacted so the partial store is a well-formed keyed
-  store — mergeable and resumable like any shard.
+  then the ledger writes what was completed as a well-formed keyed partial
+  store (compacting the journal, if any) — mergeable and resumable like
+  any shard.
 * **The invariant.**  Per sweep, nothing changed: every completed sweep's
   store is **byte-identical** to a monolithic ``execute_sweep`` of the same
   spec, no matter how many tenants shared the fleet, how leases were
-  interleaved, re-leased or duplicated, or which workers were SIGKILLed
-  (CI submits two concurrent sweeps, cancels a third, kills a worker, and
-  ``cmp``s every completed store against its monolithic reference).
+  interleaved, re-leased or duplicated, or which workers were SIGKILLed,
+  because both write through the same ledger (CI submits two concurrent
+  sweeps, cancels a third, kills a worker, and ``cmp``s every completed
+  store against its monolithic reference).
 
 Failure is per-tenant: a sweep whose fleet produces conflicting duplicate
 records (or whose journal write fails) flips to ``failed`` and stops
@@ -60,12 +64,7 @@ from repro.distrib.protocol import (
     ProtocolError,
 )
 from repro.engine.results import ResultStore
-from repro.explore.sweep import (
-    SweepCell,
-    SweepSpec,
-    load_resumable_records,
-    shard_cells,
-)
+from repro.explore.sweep import SweepLedger, SweepRecheckError, SweepSpec
 from repro.telemetry import RateEwma, get_telemetry
 from repro.telemetry.metrics import percentile
 
@@ -155,27 +154,18 @@ class Lease:
 
 @dataclass
 class SweepJob:
-    """Per-tenant state of one named sweep hosted by the service.
+    """Per-tenant scheduling state of one named sweep hosted by the service.
 
-    One copy per tenant; the service's lock guards all of it.
+    Its records, store and journal live in its :class:`SweepLedger`.  One
+    copy per tenant; the service's lock guards all of it, ledger included.
     """
 
     name: str
-    sweep: SweepSpec
-    store: Optional[ResultStore]
+    ledger: SweepLedger
     priority: int
     order: int
     max_batch: int
-    checkpoint_every: int
-    resume: bool
-    meta: Dict
-    cells: List[SweepCell] = field(default_factory=list)
-    by_key: Dict[str, SweepCell] = field(default_factory=dict)
-    stored: Dict[str, Dict] = field(default_factory=dict)
     pending: Deque[str] = field(default_factory=deque)
-    completed: Dict[str, Dict] = field(default_factory=dict)
-    journal_tail: List[Dict] = field(default_factory=list)
-    journaled: bool = False
     status: str = JOB_RUNNING
     failure: Optional[str] = None
     requeued: int = 0
@@ -185,16 +175,21 @@ class SweepJob:
     cells_by_worker: Dict[str, int] = field(default_factory=dict)
     rate: RateEwma = field(default_factory=RateEwma)
     done: "threading.Event" = field(default_factory=threading.Event)
-    store_path: Optional[str] = None
     reporter: Optional[ProgressReporter] = None
 
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATES
 
-    @property
-    def done_cells(self) -> int:
-        return len(self.completed) + len(self.stored)
+    def requeue(self, keys: List[str]) -> None:
+        """Return a lease's unfinished *keys* to the front of the queue
+        (a running sweep only; a cancelling one drains instead)."""
+        if self.status != JOB_RUNNING:
+            return
+        unfinished = [key for key in keys if not self.ledger.holds(key)]
+        if unfinished:
+            self.pending.extendleft(reversed(unfinished))
+            self.requeued += 1
 
     def snapshot(self, now: float) -> Dict:
         """Point-in-time per-sweep stats (status verb, metrics, progress)."""
@@ -209,18 +204,19 @@ class SweepJob:
         return {
             "status": self.status,
             "priority": self.priority,
-            "total": len(self.cells),
-            "done": self.done_cells,
-            "computed": len(self.completed),
-            "skipped": len(self.stored),
+            "total": len(self.ledger.cells),
+            "done": self.ledger.done,
+            "computed": len(self.ledger.completed),
+            "skipped": len(self.ledger.stored),
             "pending": len(self.pending),
             "leased": self.leased_cells,
             "requeued_batches": self.requeued,
             "duplicate_records": self.duplicates,
+            "cells_by_worker": dict(self.cells_by_worker),
             "throughput": throughput,
             "eta_seconds": eta,
             "failure": self.failure,
-            "store_path": self.store_path,
+            "store_path": self.ledger.path,
         }
 
 
@@ -277,7 +273,8 @@ class SweepService:
         self._lock = threading.Lock()
         #: Serializes journal/store file writes only — checkpoints fsync
         #: outside the state lock so disk latency never stalls lease
-        #: hand-out or heartbeat processing for the rest of the fleet.
+        #: hand-out or heartbeat processing for the rest of the fleet.  A
+        #: sweep's one final write holds both locks.
         self._journal_lock = threading.Lock()
         self._stop = threading.Event()
         self._listener: Optional[socket.socket] = None
@@ -356,63 +353,40 @@ class SweepService:
             raise ValueError("batch_size must be >= 1")
         if priority < 1:
             raise ValueError("priority must be >= 1")
-        store = store if store is not None else self.store
-        if resume and store is None:
-            raise ServiceError("resume requires a result store")
-
-        cells = sweep.cells()
-        if shard is not None:
-            cells = shard_cells(cells, shard[0], shard[1])
-        by_key = {cell.key: cell for cell in cells}
-        if len(by_key) != len(cells):
-            raise ServiceError("cell_key collision within one sweep "
-                               "(two distinct cells hashed identically)")
-        meta = sweep.meta()
-        if shard is not None:
-            meta["shard"] = [shard[0], shard[1]]
-
-        stored: Dict[str, Dict] = {}
-        if resume:
-            # Shared with the in-process resume path: axes validated before
-            # any journal is folded, foreign stores/journals refused.
-            stored = load_resumable_records(store, name, sweep, by_key)
-
         with self._lock:
             if name in self._jobs:
                 raise ServiceError(
                     f"sweep name {name!r} is already taken in this service "
                     f"(status {self._jobs[name].status}); pick another name")
-            if store is not None and not resume \
-                    and store.journal_path(name).exists():
-                # A fresh run overwrites the store; a stale journal from some
-                # earlier crashed run must not leak into it at compaction
-                # time.  Unlinked only after the name check above — a
-                # rejected duplicate submit (e.g. a wire client retrying
-                # after a lost reply) must never delete the live sweep's
-                # journal checkpoints.
-                store.journal_path(name).unlink()
+            # Admitted only after the name check: a rejected duplicate
+            # submit (e.g. a wire client retrying after a lost reply) must
+            # never fold or discard the live sweep's journal checkpoints.
+            try:
+                ledger = SweepLedger(
+                    sweep, store if store is not None else self.store, name,
+                    shard=shard, resume=resume,
+                    checkpoint_every=(self.checkpoint_every
+                                      if checkpoint_every is None
+                                      else checkpoint_every))
+            except ValueError as error:
+                raise ServiceError(str(error)) from error
             job = SweepJob(
-                name=name, sweep=sweep, store=store, priority=priority,
+                name=name, ledger=ledger, priority=priority,
                 order=self._job_order, max_batch=batch_size,
-                checkpoint_every=(self.checkpoint_every
-                                  if checkpoint_every is None
-                                  else checkpoint_every),
-                resume=resume, meta=meta, cells=cells, by_key=by_key,
-                stored=stored,
-                pending=deque(c.key for c in cells if c.key not in stored),
+                pending=deque(cell.key for cell in ledger.missing()),
                 # Anchor the throughput EWMA at admission so the very first
                 # completed batch already yields a rate (and an ETA).
                 rate=RateEwma(start=time.monotonic()),
             )
             self._job_order += 1
             if self.progress:
-                job.reporter = ProgressReporter(len(cells),
+                job.reporter = ProgressReporter(len(ledger.cells),
                                                 label=f"distrib:{name}")
             self._jobs[name] = job
         if not job.pending:
-            # Everything already stored (a completed resume): finalize now
+            # Everything already stored (a completed resume): finish now
             # so waiters and stores behave exactly like a computed run.
-            self._maybe_finish(job)
+            self._finish(job, complete=True)
         return job
 
     def cancel(self, name: str) -> Dict:
@@ -439,7 +413,7 @@ class SweepService:
         if finalize:
             # No leases in flight: the job goes terminal before we return,
             # so the caller sees "cancelled", not a vacuous "cancelling".
-            self._finalize_cancel(job)
+            self._finish(job, complete=False)
         with self._lock:
             return job.snapshot(time.monotonic())
 
@@ -468,24 +442,13 @@ class SweepService:
         with self._lock:
             if job.failure is not None:
                 raise ServiceError(job.failure)
-            combined = dict(job.stored)
-            combined.update(job.completed)
-            records = [combined[key] for key in sorted(combined)]
-            meta = dict(job.meta)
-            meta["cells"] = len(records)
-            return {
-                "records": records, "meta": meta, "cells": len(job.cells),
-                "computed": len(job.completed),
-                "skipped": len(job.stored), "rechecked": 0,
-                "status": job.status,
-                "path": job.store_path,
-                "distrib": {
-                    "workers": self._workers_seen,
-                    "requeued_batches": job.requeued,
-                    "duplicate_records": job.duplicates,
-                    "cells_by_worker": dict(job.cells_by_worker),
-                },
-            }
+            return dict(job.ledger.summary(), rechecked=0, status=job.status,
+                        distrib={
+                            "workers": self._workers_seen,
+                            "requeued_batches": job.requeued,
+                            "duplicate_records": job.duplicates,
+                            "cells_by_worker": dict(job.cells_by_worker),
+                        })
 
     def status_snapshot(self, name: Optional[str] = None) -> Dict:
         """Per-sweep snapshots (the payload of the ``status`` verb)."""
@@ -533,7 +496,7 @@ class SweepService:
                         to_finalize.append(job)
                 self._reaped += len(expired)
             for job in to_finalize:
-                self._finalize_cancel(job)
+                self._finish(job, complete=False)
             self._emit_progress()
 
     def _requeue_locked(self, lease: Lease) -> Optional[SweepJob]:
@@ -547,13 +510,7 @@ class SweepService:
         if job is None:
             return None
         job.leased_cells = max(0, job.leased_cells - len(lease.keys))
-        if job.status == JOB_RUNNING:
-            unfinished = [key for key in lease.keys
-                          if key not in job.completed
-                          and key not in job.stored]
-            if unfinished:
-                job.pending.extendleft(reversed(unfinished))
-                job.requeued += 1
+        job.requeue(lease.keys)
         if job.status == JOB_CANCELLING and job.leased_cells == 0:
             return job
         return None
@@ -668,7 +625,7 @@ class SweepService:
                 except ValueError:
                     pass
             for job in to_finalize:
-                self._finalize_cancel(job)
+                self._finish(job, complete=False)
             stream.close()
             self._emit_progress()
 
@@ -708,7 +665,7 @@ class SweepService:
         except (ServiceError, ValueError, TypeError) as error:
             raise ProtocolError(f"submit rejected: {error}") from error
         return {"type": "submitted", "sweep": name,
-                "cells": len(job.cells), "pending": len(job.pending),
+                "cells": len(job.ledger.cells), "pending": len(job.pending),
                 "priority": job.priority}
 
     def _list_sweeps(self) -> List[Dict]:
@@ -749,7 +706,7 @@ class SweepService:
             keys: List[str] = []
             while job.pending and len(keys) < cut:
                 key = job.pending.popleft()
-                if key not in job.completed and key not in job.stored:
+                if not job.ledger.holds(key):
                     keys.append(key)
             if not keys:
                 return {"type": "wait", "seconds": 0.5}
@@ -765,7 +722,7 @@ class SweepService:
             # completed cells rather than vanishing from the summary.
             job.cells_by_worker.setdefault(worker, 0)
             return {"type": "lease", "lease_id": lease.lease_id,
-                    "sweep": job.name, "keys": keys, "spec": job.meta}
+                    "sweep": job.name, "keys": keys, "spec": job.ledger.meta}
 
     def _extend_leases(self, worker: str) -> None:
         now = time.monotonic()
@@ -785,7 +742,6 @@ class SweepService:
             raise ProtocolError("result message must carry a records list")
         now = time.monotonic()
         new_cells = 0
-        to_journal: Optional[List[Dict]] = None
         finished = False
         cancel_drained = False
         with self._lock:
@@ -812,13 +768,8 @@ class SweepService:
                     # Return the batch's unfinished cells to their own
                     # queue before dropping the connection: the mismatch
                     # must not strand the lease's work.
-                    if job is not None and job.status == JOB_RUNNING:
-                        unfinished = [k for k in lease.keys
-                                      if k not in job.completed
-                                      and k not in job.stored]
-                        if unfinished:
-                            job.pending.extendleft(reversed(unfinished))
-                            job.requeued += 1
+                    if job is not None:
+                        job.requeue(lease.keys)
                     raise ProtocolError(
                         f"result claims sweep {claimed!r} but lease "
                         f"{lease.lease_id} belongs to sweep "
@@ -841,35 +792,21 @@ class SweepService:
                 job.dropped_after_terminal += len(records)
                 return
             for record in records:
-                key = record.get("cell_key") if isinstance(record, dict) \
-                    else None
-                if key not in job.by_key:
+                try:
+                    if not job.ledger.accept(record):
+                        job.duplicates += 1
+                        continue
+                except SweepRecheckError as error:
+                    job.duplicates += 1
+                    job.failure = f"worker {worker}: {error}"
+                    self._fail_locked(job)
+                    return
+                except ValueError as error:
                     # Put the batch's unfinished cells back before dropping
                     # this connection: a bad result must not strand a lease.
-                    if lease is not None and job.status == JOB_RUNNING:
-                        unfinished = [k for k in lease.keys
-                                      if k not in job.completed
-                                      and k not in job.stored]
-                        if unfinished:
-                            job.pending.extendleft(reversed(unfinished))
-                            job.requeued += 1
-                    raise ProtocolError(
-                        f"result for unknown cell {key!r} "
-                        f"(not in sweep {job.name!r})")
-                existing = job.completed.get(key, job.stored.get(key))
-                if existing is not None:
-                    job.duplicates += 1
-                    if existing != record:
-                        job.failure = (
-                            f"cell {key} completed twice with DIFFERENT "
-                            f"records (worker {worker}); the fleet is not "
-                            f"bitwise-reproducible — refusing to write a "
-                            f"store")
-                        self._fail_locked(job)
-                        return
-                    continue
-                job.completed[key] = record
-                job.journal_tail.append(record)
+                    if lease is not None:
+                        job.requeue(lease.keys)
+                    raise ProtocolError(f"result for {error}") from error
                 job.cells_by_worker[worker] = \
                     job.cells_by_worker.get(worker, 0) + 1
                 self._active_workers[worker] = \
@@ -881,24 +818,16 @@ class SweepService:
                 self._worker_rates.setdefault(
                     worker, RateEwma(start=self._started)
                 ).observe(new_cells, now)
-            if (job.store is not None and job.checkpoint_every
-                    and len(job.journal_tail) >= job.checkpoint_every):
-                to_journal = job.journal_tail
-                job.journal_tail = []
-                job.journaled = True
+            batch = job.ledger.due_batch()
             if job.status == JOB_RUNNING and \
-                    job.done_cells >= len(job.cells):
+                    job.ledger.done >= len(job.ledger.cells):
                 finished = True
             if job.status == JOB_CANCELLING and job.leased_cells == 0:
                 cancel_drained = True
-        if to_journal:
+        if batch:
             try:
-                with self._journal_lock, \
-                        get_telemetry().span("store.checkpoint",
-                                             kind="journal", sweep=job.name,
-                                             records=len(to_journal)):
-                    job.store.append_journal(job.name, to_journal,
-                                             meta=job.meta)
+                with self._journal_lock:
+                    job.ledger.journal(batch)
             except Exception as error:
                 # The records were already popped from the tail; losing the
                 # write silently would finalize a store missing cells while
@@ -910,9 +839,9 @@ class SweepService:
                     self._fail_locked(job)
                 finished = cancel_drained = False
         if finished:
-            self._finalize_complete(job)
+            self._finish(job, complete=True)
         if cancel_drained:
-            self._finalize_cancel(job)
+            self._finish(job, complete=False)
         self._emit_progress(job)
 
     def _fail_locked(self, job: SweepJob) -> None:
@@ -921,97 +850,32 @@ class SweepService:
         job.pending.clear()
         job.done.set()
 
-    def _maybe_finish(self, job: SweepJob) -> None:
-        """Finalize a job whose queue was empty at submission (resume)."""
-        with self._lock:
-            if job.terminal or job.done_cells < len(job.cells):
-                return
-        self._finalize_complete(job)
-
-    def _finalize_complete(self, job: SweepJob) -> None:
-        """Write sweep *job*'s canonical store and mark it completed.
-
-        The write path is chosen exactly as a monolithic run would: journal
-        compaction when checkpoints were written, keyed append on a resume,
-        plain sorted save otherwise — that choice is what keeps the final
-        bytes identical to ``execute_sweep`` of the same spec.
+    def _finish(self, job: SweepJob, complete: bool) -> None:
+        """Write *job*'s store and mark it completed — or, for a cancelling
+        sweep whose last lease has drained, its partial store and mark it
+        cancelled.  The ledger chooses the write, exactly as in process.
         """
         with self._lock:
-            if job.terminal:
+            if complete and job.status != JOB_RUNNING:
                 return
-            combined = dict(job.stored)
-            combined.update(job.completed)
-            records = [combined[key] for key in sorted(combined)]
-            meta = dict(job.meta)
-            meta["cells"] = len(records)
-        try:
-            if job.store is not None:
-                with get_telemetry().span("store.checkpoint", kind="final",
-                                          sweep=job.name,
-                                          records=len(records)), \
-                        self._journal_lock:
-                    if job.journaled:
-                        # Checkpoints were written; flush the tail and fold
-                        # the journal into the canonical sorted store in
-                        # one pass.
-                        if job.journal_tail:
-                            job.store.append_journal(
-                                job.name, job.journal_tail, meta=job.meta)
-                            job.journal_tail = []
-                        path = job.store.compact_journal(
-                            job.name, merge_store=job.resume)
-                    elif job.resume:
-                        path = job.store.append_keyed(
-                            job.name, list(job.completed.values()),
-                            meta=meta)
-                    else:
-                        path = job.store.save_keyed(job.name, records,
-                                                    meta=meta)
-                job.store_path = str(path)
-        except Exception as error:
-            with self._lock:
-                job.failure = (f"finalizing the store for sweep "
-                               f"{job.name!r} failed: {error}")
+            if not complete and (job.status != JOB_CANCELLING
+                                 or job.leased_cells):
+                return
+            try:
+                # Under the journal lock too, so the final write waits for
+                # a checkpoint batch of this sweep already being written.
+                with self._journal_lock:
+                    job.ledger.finish(complete=complete, kind="final")
+            except Exception as error:
+                job.failure = (f"writing the store of sweep {job.name!r} "
+                               f"failed: {error}")
                 self._fail_locked(job)
-            return
-        with self._lock:
-            job.status = JOB_COMPLETED
+                return
+            job.status = JOB_COMPLETED if complete else JOB_CANCELLED
             job.done.set()
         if job.reporter is not None:
-            job.reporter.update(job.done_cells, extra="complete", force=True)
-
-    def _finalize_cancel(self, job: SweepJob) -> None:
-        """Drain-complete a cancelled sweep: flush, compact, mark."""
-        with self._lock:
-            if job.status != JOB_CANCELLING or job.leased_cells:
-                return
-            tail = job.journal_tail
-            job.journal_tail = []
-        try:
-            if job.store is not None and (tail or job.journaled):
-                with get_telemetry().span("store.checkpoint", kind="cancel",
-                                          sweep=job.name,
-                                          records=len(tail)), \
-                        self._journal_lock:
-                    if tail:
-                        job.store.append_journal(job.name, tail,
-                                                 meta=job.meta)
-                    path = job.store.compact_journal(
-                        job.name, merge_store=job.resume)
-                if path is not None:
-                    job.store_path = str(path)
-        except Exception as error:
-            with self._lock:
-                job.failure = (f"compacting the partial store of cancelled "
-                               f"sweep {job.name!r} failed: {error}")
-                self._fail_locked(job)
-            return
-        with self._lock:
-            job.status = JOB_CANCELLED
-            job.done.set()
-        if job.reporter is not None:
-            job.reporter.update(job.done_cells, extra="cancelled",
-                                force=True)
+            job.reporter.update(job.ledger.done, force=True,
+                                extra="complete" if complete else "cancelled")
 
     # ------------------------------------------------------------------ #
     # Introspection / metrics / progress
@@ -1027,8 +891,8 @@ class SweepService:
         """
         now = time.monotonic()
         with self._lock:
-            total = sum(len(job.cells) for job in self._jobs.values())
-            done = sum(job.done_cells for job in self._jobs.values())
+            total = sum(len(job.ledger.cells) for job in self._jobs.values())
+            done = sum(job.ledger.done for job in self._jobs.values())
             pending = sum(len(job.pending) for job in self._jobs.values())
             leased = sum(len(l.keys) for l in self._leases.values())
             throughput = self._overall_rate.rate
@@ -1081,30 +945,6 @@ class SweepService:
             hub.set_gauge("service.workers_connected", snapshot["workers"])
         return snapshot
 
-    def job_stats(self, name: str) -> Dict:
-        """Point-in-time counters of one sweep (tests, monitoring)."""
-        with self._lock:
-            job = self._jobs.get(name)
-            if job is None:
-                raise ServiceError(f"no sweep named {name!r}")
-            return {
-                "total": len(job.cells),
-                "done": job.done_cells,
-                "computed": len(job.completed),
-                "skipped": len(job.stored),
-                "pending": len(job.pending),
-                "leased": job.leased_cells,
-                "leases": sum(1 for lease in self._leases.values()
-                              if lease.sweep == name),
-                "workers": self._connected,
-                "workers_seen": self._workers_seen,
-                "requeued_batches": job.requeued,
-                "duplicate_records": job.duplicates,
-                "cells_by_worker": dict(job.cells_by_worker),
-                "status": job.status,
-                "failure": job.failure,
-            }
-
     def _emit_progress(self, job: Optional[SweepJob] = None) -> None:
         hub = get_telemetry()
         if hub.enabled:
@@ -1120,7 +960,7 @@ class SweepService:
             if one.reporter is None or one.done.is_set():
                 continue  # the final line is emitted once, at finalization
             with self._lock:
-                done = one.done_cells
+                done = one.ledger.done
                 extra = (f"{self._connected} workers, "
                          f"{one.leased_cells} leased, "
                          f"{one.requeued} requeued")

@@ -1,4 +1,4 @@
-"""Design-space exploration: parameter sweeps, Pareto fronts, profile fixpoints.
+"""Design-space exploration: parameter sweeps, their stores, Pareto fronts.
 
 The paper's central artifact is a sweep — energy/time trade-offs as
 ``X_limit``, spare RAM and the flash/RAM energy ratio vary over the BEEBS
@@ -13,13 +13,13 @@ the :class:`~repro.engine.ExperimentEngine`:
 * :func:`pareto_front` / :func:`pareto_records` — non-dominated filtering of
   the energy / time-ratio / RAM-bytes trade-off space
   (`repro.explore.pareto`);
-* :func:`profile_guided_placement` — the paper's profiled frequency mode run
-  to a fixpoint: simulate, feed the block counts back to the solver, repeat
-  until the selected RAM set stops changing (`repro.explore.profile_guided`);
 * :func:`execute_sweep` / :func:`shard_cells` — resumable, shardable sweep
   execution against a keyed :class:`~repro.engine.ResultStore`: every cell
   has a content-addressed :func:`cell_key`, shards partition the cell set by
-  key hash, and resume skips cells already stored (`repro.explore.sweep`);
+  key hash, and resume skips cells already stored.  One
+  ``SweepLedger`` per sweep admits its cells, accepts records, paces the
+  journal checkpoints and writes the store, for this in-process path and
+  for every sweep the `repro.distrib` service hosts (`repro.explore.sweep`);
 * :func:`sweep_report` / :func:`report_from_store` — the Figure 5/6
   artifacts (Pareto fronts, energy/time-vs-X_limit envelopes, frontier
   sizes) rebuilt purely from stored records, with gnuplot driver scripts
@@ -27,7 +27,8 @@ the :class:`~repro.engine.ExperimentEngine`:
 
 ``execute_sweep(..., workers=N)`` hands execution to the `repro.distrib`
 service/worker subsystem — dynamic batch leasing across processes or
-machines, byte-identical to the in-process run.
+machines, byte-identical to the in-process run because the same ledger
+writes both stores.
 """
 
 from repro.explore.pareto import (
@@ -35,11 +36,6 @@ from repro.explore.pareto import (
     mark_pareto,
     pareto_front,
     pareto_records,
-)
-from repro.explore.profile_guided import (
-    ProfileGuidedIteration,
-    ProfileGuidedResult,
-    profile_guided_placement,
 )
 from repro.explore.report import (
     report_from_store,
@@ -87,7 +83,4 @@ __all__ = [
     "report_tables",
     "sweep_report",
     "write_report",
-    "ProfileGuidedIteration",
-    "ProfileGuidedResult",
-    "profile_guided_placement",
 ]

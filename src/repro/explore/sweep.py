@@ -11,6 +11,11 @@ spec into engine cells in a deterministic order and fans them out through
 :meth:`~repro.engine.ExperimentEngine.run_cells`, so a parallel sweep is
 bitwise identical to a sequential one and every (benchmark, level) compiles
 exactly once per process.
+
+:func:`execute_sweep` runs a sweep into a keyed
+:class:`~repro.engine.ResultStore` (sharded, resumed, checkpointed, or on a
+local fleet).  Every store it or the `repro.distrib` service writes goes
+through one :class:`SweepLedger`, the single owner of the write policy.
 """
 
 from __future__ import annotations
@@ -396,47 +401,205 @@ def run_sweep_cells(cells: Sequence[SweepCell], engine: ExperimentEngine,
 
 
 class SweepRecheckError(ValueError):
-    """A resumed store's record no longer reproduces bitwise."""
+    """A cell's record does not reproduce bitwise: a recomputed or repeated
+    record differs from the one the ledger already holds."""
 
 
-def load_resumable_records(store: ResultStore, name: str, sweep: SweepSpec,
-                           by_key: Dict[str, SweepCell]) -> Dict[str, Dict]:
-    """The stored records of *sweep* a resume may skip: store + journal.
+class SweepLedger:
+    """The one writer of a sweep's keyed store.
 
-    Shared by the in-process resume path and the sweep service so their
-    semantics cannot diverge.  Everything is validated against the
-    requested sweep's axes **before** anything is folded or loaded: a store
-    or leftover checkpoint journal from a *different* sweep is refused
-    outright — compacting first would merge foreign records and overwrite
-    the very meta the axes check inspects.  An effectively-empty journal
-    (first append interrupted) is cleared; a valid one is compacted into
-    the canonical store so its cells count as done.
+    Every executor drives one ledger per sweep: :func:`execute_sweep`'s
+    in-process loop, and each :class:`~repro.distrib.service.SweepJob` of
+    the sweep service, which calls it under the service's lock (the ledger
+    takes none).  The write policy below therefore exists once, which is
+    what makes a sweep's store byte-identical whichever executor writes it.
+
+    * **Admission** (the constructor): the cells, optionally one ``(index,
+      count)`` shard of them, a cell-key collision check and the store meta
+      (the axes plus the shard).  ``resume=True`` loads the stored records
+      a resume may skip, after checking the store's and any leftover
+      journal's axes against the sweep *before* folding the journal in, so
+      a foreign store is refused untouched.  A fresh run with a store
+      discards a stale journal that would otherwise leak into its
+      compaction.  Refusals raise :class:`ValueError`.
+    * **Record acceptance** (:meth:`accept`): a record must belong to the
+      sweep, and a record for a cell already held must match it bitwise.
+    * **Checkpoint cadence** (:meth:`due_batch`, :meth:`journal`): accepted
+      records collect in a journal tail, and a batch of it is due every
+      ``checkpoint_every`` records (``0``, or no store, never journals).
+    * **The final write** (:meth:`finish`): journal compaction after
+      checkpoints, a keyed append on a resume, a sorted save otherwise, and
+      a cancelled sweep's partial store.
+    * **The summary** (:meth:`summary`): ``execute_sweep``'s result shape.
     """
-    axes = sweep.meta()
 
-    def check_axes(meta: Dict, path) -> None:
-        stripped = {key: value for key, value in meta.items()
-                    if key not in PER_RUN_META_KEYS}
-        if stripped != axes:
-            raise ValueError(
-                f"{path}: stored sweep axes differ from the requested "
-                f"sweep; resuming would mix records from different sweeps "
-                f"(run without --resume, or into a fresh store)")
+    def __init__(self, sweep: SweepSpec,
+                 store: Optional[ResultStore] = None,
+                 name: str = "sweep",
+                 shard: Optional[Tuple[int, int]] = None,
+                 resume: bool = False,
+                 checkpoint_every: int = 0):
+        cells = sweep.cells()
+        if shard is not None:
+            cells = shard_cells(cells, shard[0], shard[1])
+        self.by_key: Dict[str, SweepCell] = {cell.key: cell for cell in cells}
+        if len(self.by_key) != len(cells):
+            raise ValueError("cell_key collision within one sweep "
+                             "(two distinct cells hashed identically)")
+        if resume and store is None:
+            raise ValueError("resume requires a result store")
+        if checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0 (0 disables "
+                             "checkpoints)")
+        self.cells = cells
+        self.store = store
+        self.name = name
+        self.resume = resume
+        self.meta = sweep.meta()
+        if shard is not None:
+            self.meta["shard"] = [shard[0], shard[1]]
+        self.checkpoint_every = checkpoint_every if store is not None else 0
+        self.completed: Dict[str, Dict] = {}
+        self.tail: List[Dict] = []
+        self.journaled = False
+        self.path: Optional[str] = None
+        self.stored: Dict[str, Dict] = {}
+        if resume:
+            self.stored = self._resumable(sweep.meta())
+        elif store is not None and store.journal_path(name).exists():
+            # A fresh run overwrites the store; a stale journal from some
+            # earlier crashed run must not leak into it at compaction time.
+            store.journal_path(name).unlink()
 
-    if store.path_for(name).exists():
-        check_axes(store.load_meta(name), store.path_for(name))
-    if store.journal_path(name).exists():
-        header, _records = store.load_journal(name)
-        if header is not None:
-            check_axes(header.get("meta") or {}, store.journal_path(name))
-        # Fold leftover checkpoints in (or clear the torn wreckage of an
-        # interrupted first append) so those cells are not re-executed.
-        store.compact_journal(name, merge_store=True)
-    if not store.path_for(name).exists():
-        return {}
-    return {key: record
-            for key, record in store.load_keyed(name).items()
-            if key in by_key}
+    def _resumable(self, axes: Dict) -> Dict[str, Dict]:
+        """The stored records of this sweep a resume may skip."""
+        store, name = self.store, self.name
+
+        def check_axes(meta: Dict, path) -> None:
+            stripped = {key: value for key, value in meta.items()
+                        if key not in PER_RUN_META_KEYS}
+            if stripped != axes:
+                raise ValueError(
+                    f"{path}: stored sweep axes differ from the requested "
+                    f"sweep; resuming would mix records from different "
+                    f"sweeps (run without --resume, or into a fresh store)")
+
+        if store.path_for(name).exists():
+            check_axes(store.load_meta(name), store.path_for(name))
+        if store.journal_path(name).exists():
+            header, _records = store.load_journal(name)
+            if header is not None:
+                check_axes(header.get("meta") or {}, store.journal_path(name))
+            # Fold leftover checkpoints in (or clear the torn wreckage of an
+            # interrupted first append) so those cells are not re-executed.
+            store.compact_journal(name, merge_store=True)
+        if not store.path_for(name).exists():
+            return {}
+        return {key: record
+                for key, record in store.load_keyed(name).items()
+                if key in self.by_key}
+
+    @property
+    def done(self) -> int:
+        """Cells held: stored before this run plus completed in it."""
+        return len(self.stored) + len(self.completed)
+
+    def holds(self, key: str) -> bool:
+        return key in self.completed or key in self.stored
+
+    def missing(self) -> List[SweepCell]:
+        """The cells still to compute, in sweep order."""
+        return [cell for cell in self.cells if not self.holds(cell.key)]
+
+    def accept(self, record: Dict) -> bool:
+        """Take one computed record; ``False`` if it repeats a held one.
+
+        Raises :class:`ValueError` for a record that is not one of this
+        sweep's cells, and :class:`SweepRecheckError` for a record that
+        differs from the one already held for its cell.
+        """
+        key = record.get("cell_key") if isinstance(record, dict) else None
+        if not isinstance(key, str) or key not in self.by_key:
+            raise ValueError(f"unknown cell {key!r} (not in sweep "
+                             f"{self.name!r})")
+        if key in self.stored:
+            if record != self.stored[key]:
+                raise SweepRecheckError(
+                    f"stored cell {key} no longer reproduces bitwise; the "
+                    f"store is stale (code or model changed) or corrupt — "
+                    f"rerun the sweep without --resume")
+            return False
+        if key in self.completed:
+            if record != self.completed[key]:
+                raise SweepRecheckError(
+                    f"cell {key} completed twice with DIFFERENT records; "
+                    f"the sweep is not bitwise-reproducible — refusing to "
+                    f"write a store")
+            return False
+        self.completed[key] = record
+        self.tail.append(record)
+        return True
+
+    def due_batch(self) -> List[Dict]:
+        """Pop the journal tail once a checkpoint of it is due, else ``[]``."""
+        if not self.checkpoint_every or len(self.tail) < self.checkpoint_every:
+            return []
+        batch, self.tail = self.tail, []
+        self.journaled = True
+        return batch
+
+    def journal(self, batch: List[Dict]) -> None:
+        """Append one due batch to the store's journal in O(batch)."""
+        with get_telemetry().span("store.checkpoint", kind="journal",
+                                  sweep=self.name, records=len(batch)):
+            self.store.append_journal(self.name, batch, meta=self.meta)
+
+    def records(self) -> List[Dict]:
+        """Every held record, in key order."""
+        combined = dict(self.stored)
+        combined.update(self.completed)
+        return [combined[key] for key in sorted(combined)]
+
+    def finish(self, complete: bool = True, kind: str = "store") -> None:
+        """Write the canonical store (or, ``complete=False``, the partial
+        store of a cancelled sweep, when it completed anything).
+
+        After checkpoints the tail is flushed and the journal compacted into
+        the store (merged with it on a resume); otherwise a resume appends
+        its new records and a fresh run saves all of them, sorted.  Each
+        path yields the same bytes for the same records.  *kind* names the
+        ``store.checkpoint`` span of a complete write; a partial write's
+        span is ``cancel``.
+        """
+        if self.store is None or not (complete or self.completed):
+            return
+        with get_telemetry().span("store.checkpoint",
+                                  kind=kind if complete else "cancel",
+                                  sweep=self.name, records=self.done):
+            if self.journaled:
+                if self.tail:
+                    self.store.append_journal(self.name, self.tail,
+                                              meta=self.meta)
+                    self.tail = []
+                path = self.store.compact_journal(self.name,
+                                                  merge_store=self.resume)
+            elif self.resume:
+                path = self.store.append_keyed(
+                    self.name, list(self.completed.values()), meta=self.meta)
+            else:
+                path = self.store.save_keyed(self.name, self.records(),
+                                             meta=self.meta)
+        self.path = str(path)
+
+    def summary(self) -> Dict:
+        """The held records in key order, the store meta stamped with their
+        count, cell/computed/skipped counts and the store path."""
+        records = self.records()
+        meta = dict(self.meta)
+        meta["cells"] = len(records)
+        return {"records": records, "meta": meta, "cells": len(self.cells),
+                "computed": len(self.completed), "skipped": len(self.stored),
+                "path": self.path}
 
 
 def execute_sweep(sweep: SweepSpec,
@@ -518,108 +681,51 @@ def execute_sweep(sweep: SweepSpec,
         raise ValueError("batch_size/lease_timeout configure the "
                          "distributed lease protocol; they require workers=N")
 
-    cells = sweep.cells()
-    if shard is not None:
-        cells = shard_cells(cells, shard[0], shard[1])
-    by_key = {cell.key: cell for cell in cells}
-    if len(by_key) != len(cells):
-        raise ValueError("cell_key collision within one sweep "
-                         "(two distinct cells hashed identically)")
-
-    if resume and store is None:
-        raise ValueError("resume requires a result store")
-    stored: Dict[str, Dict] = {}
-    if store is not None and not resume and store.journal_path(name).exists():
-        # A fresh run overwrites the store; a stale journal from some
-        # earlier crashed run must not leak into it at compaction time.
-        store.journal_path(name).unlink()
-    if resume:
-        stored = load_resumable_records(store, name, sweep, by_key)
-
+    ledger = SweepLedger(sweep, store, name, shard=shard, resume=resume,
+                         checkpoint_every=checkpoint_every or 0)
     if engine is None:
         engine = (ExperimentEngine(cache_dir=cache_dir)
                   if cache_dir is not None else default_engine())
 
     rechecked = 0
-    if recheck and stored:
-        sample_keys = sorted(stored)[:recheck]
-        runs = run_sweep_cells([by_key[key] for key in sample_keys], engine,
-                               max_workers)
-        for key, run in zip(sample_keys, runs):
-            fresh = cell_record(by_key[key], run)
-            if fresh != stored[key]:
-                raise SweepRecheckError(
-                    f"stored cell {key} no longer reproduces bitwise; the "
-                    f"store is stale (code or model changed) or corrupt — "
-                    f"rerun the sweep without --resume")
-        rechecked = len(sample_keys)
+    if recheck and ledger.stored:
+        sample = [ledger.by_key[key]
+                  for key in sorted(ledger.stored)[:recheck]]
+        runs = run_sweep_cells(sample, engine, max_workers)
+        for cell, run in zip(sample, runs):
+            ledger.accept(cell_record(cell, run))  # must repeat bitwise
+        rechecked = len(sample)
 
-    meta = sweep.meta()
-    if shard is not None:
-        meta["shard"] = [shard[0], shard[1]]
-
-    missing = [cell for cell in cells if cell.key not in stored]
+    missing = ledger.missing()
     reporter = None
     if progress:
         from repro.distrib.progress import ProgressReporter
         reporter = ProgressReporter(len(missing), label=f"sweep:{name}")
 
-    new_records: List[Dict] = []
-    journaled = False
-    checkpoint_every = checkpoint_every or 0
-    if store is not None and checkpoint_every > 0 and missing:
-        # Chunked execution: each chunk lands in the journal before the next
-        # starts, so an interruption loses at most one chunk of work.
-        for start in range(0, len(missing), checkpoint_every):
-            chunk = missing[start:start + checkpoint_every]
+    # One chunk per checkpoint: each due batch lands in the journal before
+    # the next chunk starts, so an interruption loses at most one chunk.
+    step = ledger.checkpoint_every or len(missing) or 1
+    for start in range(0, len(missing), step):
+        chunk = missing[start:start + step]
 
-            def chunk_progress(done, _total, base=start):
-                if reporter is not None:
-                    reporter.update(base + done)
-
-            runs = run_sweep_cells(chunk, engine, max_workers,
-                                   progress=chunk_progress)
-            batch = [cell_record(cell, run)
-                     for cell, run in zip(chunk, runs)]
-            with get_telemetry().span("store.checkpoint", kind="journal",
-                                      records=len(batch)):
-                store.append_journal(name, batch, meta=meta)
-            journaled = True
-            new_records.extend(batch)
-    else:
-        def cell_progress(done, _total):
+        def chunk_progress(done, _total, base=start):
             if reporter is not None:
-                reporter.update(done)
+                reporter.update(base + done)
 
-        runs = run_sweep_cells(missing, engine, max_workers,
-                               progress=cell_progress)
-        new_records = [cell_record(cell, run)
-                       for cell, run in zip(missing, runs)]
+        runs = run_sweep_cells(chunk, engine, max_workers,
+                               progress=chunk_progress)
+        for cell, run in zip(chunk, runs):
+            ledger.accept(cell_record(cell, run))
+        batch = ledger.due_batch()
+        if batch:
+            ledger.journal(batch)
+    # Program-cache counters for the whole run: this process's engine plus
+    # the per-process caches of its pool workers, whose snapshots come back
+    # through the pool and are merged by ``merged_cache_stats``.
     cache_stats = engine.merged_cache_stats()
     if reporter is not None:
         reporter.finish(extra=(f"cache {cache_stats['compiles']} compiles, "
                                f"{cache_stats['hits']} hits, "
                                f"{cache_stats['disk_hits']} disk hits"))
-
-    combined = dict(stored)
-    combined.update((record["cell_key"], record) for record in new_records)
-    records = [combined[key] for key in sorted(combined)]
-    meta["cells"] = len(records)
-
-    # Program-cache counters for the whole run: this process's engine plus
-    # the per-process caches of its pool workers, whose snapshots come back
-    # through the pool and are merged by ``merged_cache_stats``.
-    summary = {"records": records, "meta": meta, "cells": len(cells),
-               "computed": len(missing), "skipped": len(stored),
-               "rechecked": rechecked, "cache": cache_stats, "path": None}
-    if store is not None:
-        with get_telemetry().span("store.checkpoint", kind="store",
-                                  records=len(records)):
-            if journaled:
-                path = store.compact_journal(name, merge_store=resume)
-            elif resume:
-                path = store.append_keyed(name, new_records, meta=meta)
-            else:
-                path = store.save_keyed(name, records, meta=meta)
-        summary["path"] = str(path)
-    return summary
+    ledger.finish()
+    return dict(ledger.summary(), rechecked=rechecked, cache=cache_stats)

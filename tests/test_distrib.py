@@ -11,7 +11,9 @@ could.
 import io
 import json
 import multiprocessing
+import os
 import time
+from multiprocessing.context import SpawnProcess
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.distrib import (
     format_eta,
     worker_process_entry,
 )
+from repro.distrib.local import BLAS_THREAD_PINS
 from repro.distrib.protocol import decode_message, encode_message
 from repro.engine import ExperimentEngine, ProgramCache, ResultStore
 from repro.explore import SweepSpec, execute_sweep
@@ -85,6 +88,11 @@ def spawn_worker(service, **kwargs):
                             kwargs=kwargs, daemon=True)
     process.start()
     return process
+
+
+def sweep_stats(service, name="sweep"):
+    """One hosted sweep's live snapshot (the ``status`` verb's payload)."""
+    return service.status_snapshot(name)[name]
 
 
 def wait_until(predicate, timeout=60.0, message="condition"):
@@ -153,6 +161,30 @@ def test_local_fleet_validates_arguments():
         execute_sweep(TEST_SWEEP, workers=1, max_workers=2)
 
 
+def test_local_fleet_pins_blas_threads_where_unset(monkeypatch):
+    """Spawned workers start with one BLAS thread unless the caller chose a
+    count, and the caller's environment is restored afterwards."""
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    before = dict(os.environ)
+    started = []
+
+    class Started(Exception):
+        pass
+
+    def record_environment(process):
+        started.append({pin: os.environ.get(pin) for pin in BLAS_THREAD_PINS})
+        raise Started  # spawn nothing
+
+    monkeypatch.setattr(SpawnProcess, "start", record_environment)
+    with pytest.raises(Started):
+        execute_sweep_distributed(TEST_SWEEP, workers=2)
+    assert started == [{"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "3",
+                        "MKL_NUM_THREADS": "1"}]
+    assert dict(os.environ) == before
+
+
 # --------------------------------------------------------------------------- #
 # Fault tolerance
 # --------------------------------------------------------------------------- #
@@ -168,14 +200,14 @@ def test_worker_killed_mid_lease_batch_is_relesed_bitwise(tmp_path,
         # The victim computes its leased cell, then sleeps ~60 s before
         # reporting — a wide-open window in which to SIGKILL it mid-lease.
         victim = spawn_worker(service, name="victim", throttle=60.0)
-        wait_until(lambda: service.job_stats("sweep")["leased"] >= 1,
+        wait_until(lambda: sweep_stats(service)["leased"] >= 1,
                    message="victim to take a lease")
         victim.kill()
         victim.join(timeout=30.0)
 
         # The dropped connection must re-queue the victim's batch...
         wait_until(
-            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            lambda: sweep_stats(service)["requeued_batches"] >= 1,
             message="the victim's lease to be re-queued")
         # ...and a replacement worker finishes the whole sweep.
         replacement = spawn_worker(service, name="replacement")
@@ -227,7 +259,7 @@ def test_expired_lease_requeues_while_connection_stays_open():
         lease = request(hung)
         assert lease["type"] == "lease" and len(lease["keys"]) == 1
         wait_until(
-            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            lambda: sweep_stats(service)["requeued_batches"] >= 1,
             timeout=30.0, message="the hung lease to expire")
 
         worker = spawn_worker(service, name="rescuer")
@@ -258,7 +290,7 @@ def test_duplicate_completions_validated_bitwise():
         assert lease_a["type"] == "lease"
         key = lease_a["keys"][0]
         wait_until(
-            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            lambda: sweep_stats(service)["requeued_batches"] >= 1,
             timeout=30.0, message="the silent lease to expire")
         second = fake_worker(service, "second")
         lease_b = request(second)
@@ -267,7 +299,7 @@ def test_duplicate_completions_validated_bitwise():
         fabricated = {"cell_key": key, "energy_j": 1.0}
         second.send({"type": "result", "lease_id": lease_b["lease_id"],
                      "sweep": "sweep", "records": [fabricated]})
-        wait_until(lambda: service.job_stats("sweep")["computed"] == 1,
+        wait_until(lambda: sweep_stats(service)["computed"] == 1,
                    message="the fabricated completion to land")
 
         # A bitwise-identical duplicate is tolerated (and counted)...  The
@@ -276,9 +308,9 @@ def test_duplicate_completions_validated_bitwise():
         first.send({"type": "result", "lease_id": lease_a["lease_id"],
                     "sweep": "sweep", "records": [dict(fabricated)]})
         wait_until(
-            lambda: service.job_stats("sweep")["duplicate_records"] == 1,
+            lambda: sweep_stats(service)["duplicate_records"] == 1,
             message="the agreeing duplicate to be counted")
-        assert service.job_stats("sweep")["failure"] is None
+        assert sweep_stats(service)["failure"] is None
 
         # ...but a conflicting duplicate aborts the run: a fleet that does
         # not reproduce bitwise must not write a store.
@@ -309,9 +341,22 @@ def test_result_for_unknown_cell_is_rejected():
         assert "unknown cell" in reply["message"]
         # The rogue's lease went back to the queue when it was disconnected.
         wait_until(
-            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            lambda: sweep_stats(service)["requeued_batches"] >= 1,
             timeout=30.0, message="the rogue's lease to be re-queued")
-        assert service.job_stats("sweep")["failure"] is None
+        assert sweep_stats(service)["failure"] is None
+
+        # A key that is not a string is refused the same way, with a reply.
+        rogue.close()
+        rogue = fake_worker(service, "rogue")
+        lease = request(rogue)
+        rogue.send({"type": "result", "lease_id": lease["lease_id"],
+                    "records": [{"cell_key": ["feedface"]}]})
+        reply = rogue.recv()
+        assert reply["type"] == "error"
+        assert "unknown cell" in reply["message"]
+        wait_until(
+            lambda: sweep_stats(service)["requeued_batches"] >= 2,
+            timeout=30.0, message="the second lease to be re-queued")
     finally:
         if rogue is not None:
             rogue.close()

@@ -12,7 +12,6 @@ from repro.explore import (
     mark_pareto,
     pareto_front,
     pareto_records,
-    profile_guided_placement,
     run_sweep,
     scaled_energy_model,
 )
@@ -216,30 +215,6 @@ def test_pareto_front_preserves_input_order_generic_key():
     values = [(3, 1), (1, 3), (2, 2), (2, 3)]
     front = pareto_front(values, key=lambda v: v)
     assert front == [(3, 1), (1, 3), (2, 2)]
-
-
-# --------------------------------------------------------------------------- #
-# Profile-guided fixpoint
-# --------------------------------------------------------------------------- #
-def test_profile_guided_reaches_fixpoint_and_preserves_result():
-    engine = fresh_engine()
-    result = profile_guided_placement("crc32", engine=engine, max_iterations=8)
-    assert result.converged
-    assert 1 <= len(result.iterations) < 8
-    assert result.ram_blocks, "the fixpoint placement should move blocks"
-    assert result.final is not None
-    assert result.final.return_value == result.baseline.return_value
-    assert result.energy_change < 0
-    record = result.record()
-    assert record["converged"] and record["iterations"] == len(result.iterations)
-
-
-def test_profile_guided_respects_iteration_bound():
-    engine = fresh_engine()
-    result = profile_guided_placement("crc32", engine=engine, max_iterations=1)
-    assert len(result.iterations) <= 1
-    with pytest.raises(ValueError):
-        profile_guided_placement("crc32", engine=engine, max_iterations=0)
 
 
 # --------------------------------------------------------------------------- #

@@ -196,12 +196,21 @@ def test_cell_key_flat_omission_keeps_historical_keys():
     assert cell_key(pipelined) != cell_key(base)
 
 
-def rerun_store_matches(reference_path, tmp_path):
-    """Re-run the sweep a committed store records; compare the bytes."""
+def rerun_store_matches(reference_path, tmp_path, *runs):
+    """Re-run the sweep a committed store records; compare the bytes.
+
+    Each of *runs* is one set of ``execute_sweep`` options, run in order
+    into the same store; the default is one plain in-process run.  Runs
+    without ``workers`` get a fresh sequential engine.
+    """
     reference = json.load(open(reference_path))
     sweep = SweepSpec.from_meta(reference["meta"])
-    execute_sweep(sweep, store=ResultStore(str(tmp_path)), name="sweep",
-                  engine=ExperimentEngine(cache=ProgramCache(), max_workers=1))
+    for options in runs or ({},):
+        if "workers" not in options:
+            options = dict(options, engine=ExperimentEngine(
+                cache=ProgramCache(), max_workers=1))
+        execute_sweep(sweep, store=ResultStore(str(tmp_path)), name="sweep",
+                      **options)
     return filecmp.cmp(str(tmp_path / "sweep.json"), reference_path,
                        shallow=False)
 
@@ -216,6 +225,23 @@ def test_pipelined_store_bytes_identical_to_reference(tmp_path):
 
 def test_levels_store_bytes_identical_to_reference(tmp_path):
     assert rerun_store_matches(LEVELS_REFERENCE_STORE, tmp_path)
+
+
+#: The first half of the levels sweep, stored before a resume.
+HALF = {"shard": (0, 2)}
+
+
+@pytest.mark.parametrize("runs", [
+    ({"checkpoint_every": 3},),
+    ({"workers": 2, "checkpoint_every": 3},),
+    (HALF, {"resume": True}),
+    (HALF, {"workers": 2, "resume": True, "checkpoint_every": 3}),
+], ids=["journal-compaction", "fleet-journal-compaction", "resume-append",
+        "fleet-resume-compaction"])
+def test_every_store_write_branch_matches_levels_reference(tmp_path, runs):
+    """Journal compaction, keyed append and a fleet's writes, each against
+    the committed bytes (not against a store the test computed itself)."""
+    assert rerun_store_matches(LEVELS_REFERENCE_STORE, tmp_path, *runs)
 
 
 def test_pipelined_sweep_records_tag_timing_model():

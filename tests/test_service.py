@@ -70,6 +70,11 @@ def spawn_worker(service, **kwargs):
     return process
 
 
+def sweep_stats(service, name):
+    """One hosted sweep's live snapshot (the ``status`` verb's payload)."""
+    return service.status_snapshot(name)[name]
+
+
 def wait_until(predicate, timeout=60.0, message="condition"):
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -232,7 +237,7 @@ def test_cancel_drains_inflight_lease_and_compacts_partial(tmp_path):
         job = service.submit(SweepSpec(benchmarks=("crc32",),
                                        x_limits=(1.1, 1.2, 1.3, 1.4)),
                              "doomed", batch_size=1)
-        keys = [cell.key for cell in job.cells]
+        keys = [cell.key for cell in job.ledger.cells]
         survivor = service.submit(BETA, "survivor", batch_size=1)
 
         stream = fake_worker(service, "w")
@@ -329,6 +334,8 @@ def test_submit_validates_names_priorities_and_batches(tmp_path):
             service.submit(BETA, "bad", batch_size=0)
         with pytest.raises(ServiceError, match="store"):
             service.submit(BETA, "bad", resume=True)
+        with pytest.raises(ServiceError, match="checkpoint_every"):
+            service.submit(BETA, "bad", checkpoint_every=-1)
         with pytest.raises(ServiceError, match="no sweep named"):
             service.cancel("never-submitted")
     finally:
@@ -379,7 +386,7 @@ def test_rejected_duplicate_submit_leaves_live_journal_intact(tmp_path):
 
 
 def test_cells_by_worker_counters_are_per_sweep():
-    """summary/job_stats report the sweep's own worker counters, not the
+    """summary/status report the sweep's own worker counters, not the
     service-wide aggregate — tenants must not observe each other."""
     service = start_service()
     streams = []
@@ -401,7 +408,7 @@ def test_cells_by_worker_counters_are_per_sweep():
             assert service.wait(name, 30.0)
         for name, spec, worker in (("alpha", ALPHA, "miner"),
                                    ("beta", BETA, "smith")):
-            stats = service.job_stats(name)["cells_by_worker"]
+            stats = sweep_stats(service, name)["cells_by_worker"]
             summary = service.summary(name)["distrib"]["cells_by_worker"]
             assert stats == summary
             assert sum(stats.values()) == spec.size
@@ -560,10 +567,10 @@ def test_result_relabelled_across_sweeps_is_rejected_and_requeued():
         assert "belongs to sweep 'hot'" in reply["message"]
         # The lease settled on its own sweep: cells back in hot's queue,
         # nothing leaked into cold's counters.
-        hot = service.job_stats("hot")
+        hot = sweep_stats(service, "hot")
         assert hot["pending"] == ALPHA.size and hot["leased"] == 0
         assert hot["requeued_batches"] == 1 and hot["done"] == 0
-        cold = service.job_stats("cold")
+        cold = sweep_stats(service, "cold")
         assert cold["pending"] == BETA.size and cold["leased"] == 0
         assert cold["done"] == 0
     finally:
@@ -623,19 +630,19 @@ def test_truncated_and_oversized_lines_do_not_strand_leases(monkeypatch):
     service = start_service()
     try:
         job = service.submit(ALPHA, "steady", batch_size=1)
-        total = len(job.cells)
+        total = len(job.ledger.cells)
 
         # A worker takes a lease, then sends an oversized line: the
         # connection dies, the lease must return to the queue.
         stream = fake_worker(service, "bloated")
         lease = request(stream)
         assert lease["type"] == "lease"
-        wait_until(lambda: service.job_stats("steady")["pending"]
+        wait_until(lambda: sweep_stats(service, "steady")["pending"]
                    == total - 1, message="the lease to leave the queue")
         stream.send({"type": "result", "lease_id": lease["lease_id"],
                      "sweep": "steady",
                      "records": [{"cell_key": "x" * 8192}]})
-        wait_until(lambda: service.job_stats("steady")["pending"] == total,
+        wait_until(lambda: sweep_stats(service, "steady")["pending"] == total,
                    timeout=30.0, message="the oversized sender's lease "
                    "to be re-queued")
         stream.close()
@@ -645,13 +652,13 @@ def test_truncated_and_oversized_lines_do_not_strand_leases(monkeypatch):
         lease = request(stream)
         stream._sock.sendall(b'{"type": "result", "lease_id"')
         stream._sock.shutdown(socket.SHUT_WR)
-        wait_until(lambda: service.job_stats("steady")["pending"] == total,
+        wait_until(lambda: sweep_stats(service, "steady")["pending"] == total,
                    timeout=30.0,
                    message="the truncated sender's lease to be re-queued")
         stream.close()
 
-        assert service.job_stats("steady")["failure"] is None
-        assert service.job_stats("steady")["status"] == "running"
+        assert sweep_stats(service, "steady")["failure"] is None
+        assert sweep_stats(service, "steady")["status"] == "running"
     finally:
         service.shutdown()
 

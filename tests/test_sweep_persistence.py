@@ -420,6 +420,13 @@ def test_resume_runs_only_missing_cells_and_matches_clean_run(
     assert store.path_for("sweep").read_bytes() == \
         mono_store.path_for("sweep").read_bytes()
 
+    # A resume appends: one shard resumed into the complete store keeps
+    # the records of the cells outside that shard.
+    summary = execute_sweep(TEST_SWEEP, store=store, shard=(0, 3),
+                            resume=True, engine=fresh_engine(), max_workers=1)
+    assert summary["skipped"] == 1 and computed == []
+    assert store.load_keyed("sweep") == full
+
 
 def test_recheck_passes_on_clean_store_and_detects_tampering(tmp_path,
                                                              monolithic):

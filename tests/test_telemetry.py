@@ -366,6 +366,10 @@ def test_distributed_telemetry_sigkill_stays_bitwise(tmp_path, clean_hub):
                            checkpoint_every=1, drain_when_idle=True)
     service.submit(TEST_SWEEP, "sweep", batch_size=1)
     service.start()
+
+    def stats():
+        return service.status_snapshot("sweep")["sweep"]
+
     victim = replacement = None
     try:
         victim = SPAWN.Process(
@@ -373,12 +377,12 @@ def test_distributed_telemetry_sigkill_stays_bitwise(tmp_path, clean_hub):
             args=(service.host, service.port),
             kwargs={"name": "victim", "throttle": 60.0}, daemon=True)
         victim.start()
-        wait_until(lambda: service.job_stats("sweep")["leased"] >= 1,
+        wait_until(lambda: stats()["leased"] >= 1,
                    message="victim to take a lease")
         victim.kill()
         victim.join(timeout=30.0)
         wait_until(
-            lambda: service.job_stats("sweep")["requeued_batches"] >= 1,
+            lambda: stats()["requeued_batches"] >= 1,
             timeout=60.0, message="the victim's lease to be re-queued")
         replacement = SPAWN.Process(
             target=worker_process_entry,
