@@ -367,7 +367,8 @@ def _print_sweep_summary(summary: dict) -> None:
     if distrib:
         line += (f" [distributed: {distrib['workers']} workers, "
                  f"{distrib['requeued_batches']} batches requeued, "
-                 f"{distrib['duplicate_records']} duplicates]")
+                 f"{distrib['duplicate_records']} duplicates, "
+                 f"{distrib['split_groups']} split groups]")
     cache = summary.get("cache")
     if cache:
         line += (f" [cache: {cache['compiles']} compiles, "

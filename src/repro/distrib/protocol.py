@@ -27,7 +27,10 @@ type           direction  payload
 ``lease``      s → w      ``lease_id``, ``sweep`` (name), ``keys`` (batch
                           of cell_keys), ``spec`` (axes meta — the worker
                           rebuilds the `SweepSpec` and indexes cells by key)
-``wait``       s → w      ``seconds`` — nothing leasable right now, retry
+``wait``       s → w      ``seconds`` — nothing leasable right now; the
+                          worker waits on its connection and asks again
+                          after ``seconds``, or leaves at once if the
+                          service closes the connection first
 ``done``       s → w      nothing left to serve, disconnect
 ``result``     w → s      ``lease_id``, ``sweep``, ``records`` (one per
                           leased cell)
@@ -58,6 +61,7 @@ thread, so :class:`MessageStream` serializes writes with a lock.
 from __future__ import annotations
 
 import json
+import select
 import socket
 import threading
 from typing import Dict, Optional
@@ -118,6 +122,13 @@ class MessageStream:
         if not line.endswith(b"\n"):
             raise ProtocolError("truncated or oversized message line")
         return decode_message(line.decode("utf-8"))
+
+    def wait_readable(self, timeout: float) -> bool:
+        """Wait up to *timeout* seconds for the peer to send or close;
+        ``True`` if it did.  Meant for a drained buffer, i.e. between a
+        reply and the next request."""
+        readable, _, _ = select.select([self._sock], [], [], timeout)
+        return bool(readable)
 
     def interrupt(self) -> None:
         """Unblock a peer thread parked in :meth:`recv`.

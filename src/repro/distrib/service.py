@@ -23,6 +23,15 @@ one-machine ``execute_sweep(..., workers=N)`` path.
   a priority-1 sweep on the same fleet, and the shares rebalance instantly
   when sweeps are submitted or cancelled mid-run (see
   :func:`schedule_score`).
+* **Affinity leases.**  A sweep's pending cells queue per *group* — one
+  benchmark's cells across every level, so level twins meet in one
+  worker's engine memos.  A worker holds at most one group per sweep (the
+  group of its latest lease) and is leased more of it while it lasts,
+  then the first group in sweep order no other live worker holds, and
+  only when every pending group is held, cells from the back end of the
+  fullest group (the *tail split*, counted as ``split_groups``).  An
+  expired or disconnected lease forfeits its worker's hold.  This is
+  affinity scheduling (Markatos & LeBlanc, IEEE TPDS 5(4), 1994).
 * **Adaptive lease tails.**  Every lease takes
   ``adaptive_batch(remaining, fleet, max_batch)`` cells, which equals
   ``max_batch`` while the queue is deep and shrinks toward 1 as the
@@ -33,7 +42,7 @@ one-machine ``execute_sweep(..., workers=N)`` path.
 * **Cancellation.**  ``cancel()`` stops leasing a sweep immediately;
   in-flight leases drain (their results are still accepted and journaled),
   then the ledger writes what was completed as a well-formed keyed partial
-  store (compacting the journal, if any) — mergeable and resumable like
+  store (and removes the journal, if any) — mergeable and resumable like
   any shard.
 * **The invariant.**  Per sweep, nothing changed: every completed sweep's
   store is **byte-identical** to a monolithic ``execute_sweep`` of the same
@@ -55,7 +64,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.distrib.progress import ProgressReporter
 from repro.distrib.protocol import (
@@ -165,7 +174,14 @@ class SweepJob:
     priority: int
     order: int
     max_batch: int
-    pending: Deque[str] = field(default_factory=deque)
+    #: Pending cell keys per group (benchmark), groups and keys in sweep
+    #: order; a group stays listed when it empties, so requeued keys keep
+    #: their group's place.
+    groups: Dict[str, Deque[str]] = field(default_factory=dict, init=False)
+    #: Live worker -> (group of its latest lease, cut from the back end).
+    holds: Dict[str, Tuple[str, bool]] = field(default_factory=dict)
+    #: Group -> every worker ever leased some of its cells.
+    leased_to: Dict[str, Set[str]] = field(default_factory=dict)
     status: str = JOB_RUNNING
     failure: Optional[str] = None
     requeued: int = 0
@@ -177,24 +193,88 @@ class SweepJob:
     done: "threading.Event" = field(default_factory=threading.Event)
     reporter: Optional[ProgressReporter] = None
 
+    def __post_init__(self) -> None:
+        for cell in self.ledger.missing():
+            self.groups.setdefault(cell.spec.benchmark, deque()).append(
+                cell.key)
+
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATES
 
+    @property
+    def pending(self) -> int:
+        """Cells queued for leasing, over every group."""
+        return sum(len(keys) for keys in self.groups.values())
+
+    @property
+    def split_groups(self) -> int:
+        """Groups leased to more than one worker: the locality the tail
+        split gave up for balance."""
+        return sum(1 for workers in self.leased_to.values()
+                   if len(workers) > 1)
+
+    def drop_pending(self) -> None:
+        for keys in self.groups.values():
+            keys.clear()
+
     def requeue(self, keys: List[str]) -> None:
-        """Return a lease's unfinished *keys* to the front of the queue
+        """Return a lease's unfinished *keys* to the front of their group
         (a running sweep only; a cancelling one drains instead)."""
         if self.status != JOB_RUNNING:
             return
         unfinished = [key for key in keys if not self.ledger.holds(key)]
+        for key in reversed(unfinished):
+            self.groups[self.ledger.by_key[key].spec.benchmark].appendleft(key)
         if unfinished:
-            self.pending.extendleft(reversed(unfinished))
             self.requeued += 1
+
+    def _pick_group(self, worker: str) -> Optional[Tuple[str, bool]]:
+        """The group, and the end of it, *worker*'s next lease comes from.
+
+        The group it holds while that has pending cells; else the first
+        group in sweep order that no other worker holds; else the back end
+        of the group with the most pending cells (the tail split).
+        """
+        held = self.holds.get(worker)
+        if held is not None and self.groups[held[0]]:
+            return held
+        taken = {group for other, (group, _back) in self.holds.items()
+                 if other != worker}
+        for group, keys in self.groups.items():
+            if keys and group not in taken:
+                return group, False
+        fullest = max(self.groups, key=lambda group: len(self.groups[group]),
+                      default=None)
+        if fullest is None or not self.groups[fullest]:
+            return None
+        return fullest, True
+
+    def take(self, worker: str, cut: int) -> List[str]:
+        """Up to *cut* pending keys of one group for *worker*, in sweep
+        order, which it then holds.  Keys whose records are already held
+        are dropped on the way (a late result can beat the re-lease of an
+        expired lease, and re-simulating its cell is waste)."""
+        while True:
+            pick = self._pick_group(worker)
+            if pick is None:
+                return []
+            group, back = pick
+            queue = self.groups[group]
+            keys: List[str] = []
+            while queue and len(keys) < cut:
+                key = queue.pop() if back else queue.popleft()
+                if not self.ledger.holds(key):
+                    keys.append(key)
+            if keys:
+                self.holds[worker] = pick
+                self.leased_to.setdefault(group, set()).add(worker)
+                return keys[::-1] if back else keys
 
     def snapshot(self, now: float) -> Dict:
         """Point-in-time per-sweep stats (status verb, metrics, progress)."""
         throughput = self.rate.rate
-        remaining = len(self.pending) + self.leased_cells
+        remaining = self.pending + self.leased_cells
         if self.status == JOB_COMPLETED or remaining <= 0:
             eta: Optional[float] = 0.0
         elif throughput:
@@ -208,10 +288,11 @@ class SweepJob:
             "done": self.ledger.done,
             "computed": len(self.ledger.completed),
             "skipped": len(self.ledger.stored),
-            "pending": len(self.pending),
+            "pending": self.pending,
             "leased": self.leased_cells,
             "requeued_batches": self.requeued,
             "duplicate_records": self.duplicates,
+            "split_groups": self.split_groups,
             "cells_by_worker": dict(self.cells_by_worker),
             "throughput": throughput,
             "eta_seconds": eta,
@@ -310,10 +391,14 @@ class SweepService:
         """Stop serving (idempotent); outstanding connections get closed."""
         self._stop.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            # shutdown() wakes an accept() already blocked on the listener
+            # at once; close() alone would leave it to its next poll.
+            for action in (lambda: self._listener.shutdown(socket.SHUT_RDWR),
+                           self._listener.close):
+                try:
+                    action()
+                except OSError:
+                    pass
         with self._lock:
             streams = list(self._streams)
         for stream in streams:
@@ -373,7 +458,6 @@ class SweepService:
             job = SweepJob(
                 name=name, ledger=ledger, priority=priority,
                 order=self._job_order, max_batch=batch_size,
-                pending=deque(cell.key for cell in ledger.missing()),
                 # Anchor the throughput EWMA at admission so the very first
                 # completed batch already yields a rate (and an ETA).
                 rate=RateEwma(start=time.monotonic()),
@@ -408,7 +492,7 @@ class SweepService:
                 return job.snapshot(time.monotonic())
             if job.status == JOB_RUNNING:
                 job.status = JOB_CANCELLING
-                job.pending.clear()
+                job.drop_pending()
             finalize = job.leased_cells == 0
         if finalize:
             # No leases in flight: the job goes terminal before we return,
@@ -447,6 +531,7 @@ class SweepService:
                             "workers": self._workers_seen,
                             "requeued_batches": job.requeued,
                             "duplicate_records": job.duplicates,
+                            "split_groups": job.split_groups,
                             "cells_by_worker": dict(job.cells_by_worker),
                         })
 
@@ -500,7 +585,8 @@ class SweepService:
             self._emit_progress()
 
     def _requeue_locked(self, lease: Lease) -> Optional[SweepJob]:
-        """Return a lease's unfinished keys to its sweep's queue.
+        """Return a lease's unfinished keys to its sweep's queue; its worker
+        forfeits its hold on the sweep.
 
         Returns the job if this was the last in-flight lease of a
         *cancelling* sweep — the caller must finalize it outside the lock.
@@ -511,6 +597,7 @@ class SweepService:
             return None
         job.leased_cells = max(0, job.leased_cells - len(lease.keys))
         job.requeue(lease.keys)
+        job.holds.pop(lease.worker, None)
         if job.status == JOB_CANCELLING and job.leased_cells == 0:
             return job
         return None
@@ -614,6 +701,8 @@ class SweepService:
                             to_finalize.append(job)
                 if worker is not None:
                     self._connected -= 1
+                    for job in self._jobs.values():
+                        job.holds.pop(worker, None)
                 if stream in self._streams:
                     self._streams.remove(stream)
                 # Prune this handler from the join list — an elastic fleet
@@ -665,7 +754,7 @@ class SweepService:
         except (ServiceError, ValueError, TypeError) as error:
             raise ProtocolError(f"submit rejected: {error}") from error
         return {"type": "submitted", "sweep": name,
-                "cells": len(job.ledger.cells), "pending": len(job.pending),
+                "cells": len(job.ledger.cells), "pending": job.pending,
                 "priority": job.priority}
 
     def _list_sweeps(self) -> List[Dict]:
@@ -697,17 +786,8 @@ class SweepService:
                         all(j.terminal for j in self._jobs.values()):
                     return {"type": "done"}
                 return {"type": "wait", "seconds": 0.5}
-            cut = adaptive_batch(len(job.pending), max(1, self._connected),
-                                 job.max_batch)
-            # Skip keys that were re-queued (expired lease) but completed
-            # anyway before being re-leased — at-least-once execution means
-            # a late result may beat its replacement to the queue, and
-            # re-simulating a cell whose record is already held is waste.
-            keys: List[str] = []
-            while job.pending and len(keys) < cut:
-                key = job.pending.popleft()
-                if not job.ledger.holds(key):
-                    keys.append(key)
+            keys = job.take(worker, adaptive_batch(
+                job.pending, max(1, self._connected), job.max_batch))
             if not keys:
                 return {"type": "wait", "seconds": 0.5}
             now = time.monotonic()
@@ -829,13 +909,13 @@ class SweepService:
                 with self._journal_lock:
                     job.ledger.journal(batch)
             except Exception as error:
-                # The records were already popped from the tail; losing the
-                # write silently would finalize a store missing cells while
-                # claiming success.  Fail the sweep loudly instead.
+                # The store directory took no checkpoint, so a crash now
+                # would lose the batch, and the final write would most
+                # likely fail the same way.  Fail the sweep loudly instead.
                 with self._lock:
                     job.failure = (
                         f"journal checkpoint failed ({error}); aborting "
-                        f"rather than finalize a store with missing cells")
+                        f"rather than run on without crash recovery")
                     self._fail_locked(job)
                 finished = cancel_drained = False
         if finished:
@@ -847,7 +927,7 @@ class SweepService:
     def _fail_locked(self, job: SweepJob) -> None:
         """Flip *job* to failed: stop leasing it, wake its waiters."""
         job.status = JOB_FAILED
-        job.pending.clear()
+        job.drop_pending()
         job.done.set()
 
     def _finish(self, job: SweepJob, complete: bool) -> None:
@@ -893,10 +973,10 @@ class SweepService:
         with self._lock:
             total = sum(len(job.ledger.cells) for job in self._jobs.values())
             done = sum(job.ledger.done for job in self._jobs.values())
-            pending = sum(len(job.pending) for job in self._jobs.values())
+            pending = sum(job.pending for job in self._jobs.values())
             leased = sum(len(l.keys) for l in self._leases.values())
             throughput = self._overall_rate.rate
-            remaining = sum(len(job.pending) + job.leased_cells
+            remaining = sum(job.pending + job.leased_cells
                             for job in self._jobs.values()
                             if not job.terminal)
             if remaining <= 0:
@@ -950,8 +1030,7 @@ class SweepService:
         if hub.enabled:
             with self._lock:
                 hub.set_gauge("service.queue_depth",
-                              sum(len(j.pending)
-                                  for j in self._jobs.values()))
+                              sum(j.pending for j in self._jobs.values()))
                 hub.set_gauge("service.outstanding_leases",
                               len(self._leases))
                 hub.set_gauge("service.workers_connected", self._connected)

@@ -209,7 +209,12 @@ def run_worker(host: str, port: int,
                 hub.flush()  # a SIGKILL now loses at most this batch's tail
             elif kind == "wait":
                 stats["waits"] += 1
-                time.sleep(float(message.get("seconds", 0.5)))
+                # The service only replies, so the connection turns
+                # readable before the wait is up only when the service
+                # closes it: a drained service releases its parked workers
+                # at once instead of after their sleep.
+                if stream.wait_readable(float(message.get("seconds", 0.5))):
+                    break
             elif kind == "done":
                 break
             elif kind == "error":

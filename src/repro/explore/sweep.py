@@ -427,9 +427,12 @@ class SweepLedger:
     * **Checkpoint cadence** (:meth:`due_batch`, :meth:`journal`): accepted
       records collect in a journal tail, and a batch of it is due every
       ``checkpoint_every`` records (``0``, or no store, never journals).
-    * **The final write** (:meth:`finish`): journal compaction after
-      checkpoints, a keyed append on a resume, a sorted save otherwise, and
-      a cancelled sweep's partial store.
+      The journal is crash recovery only: admission folds in a crashed
+      run's journal, and a batch journaled after the final write is
+      dropped, because the store already holds it.
+    * **The final write** (:meth:`finish`): from the records held in
+      memory, a keyed append on a resume and a sorted save otherwise (also
+      a cancelled sweep's partial store); then the journal goes.
     * **The summary** (:meth:`summary`): ``execute_sweep``'s result shape.
     """
 
@@ -461,7 +464,7 @@ class SweepLedger:
         self.checkpoint_every = checkpoint_every if store is not None else 0
         self.completed: Dict[str, Dict] = {}
         self.tail: List[Dict] = []
-        self.journaled = False
+        self.finished = False
         self.path: Optional[str] = None
         self.stored: Dict[str, Dict] = {}
         if resume:
@@ -545,11 +548,13 @@ class SweepLedger:
         if not self.checkpoint_every or len(self.tail) < self.checkpoint_every:
             return []
         batch, self.tail = self.tail, []
-        self.journaled = True
         return batch
 
     def journal(self, batch: List[Dict]) -> None:
-        """Append one due batch to the store's journal in O(batch)."""
+        """Append one due batch to the store's journal in O(batch); a batch
+        that arrives after :meth:`finish` is already in the store."""
+        if self.finished:
+            return
         with get_telemetry().span("store.checkpoint", kind="journal",
                                   sweep=self.name, records=len(batch)):
             self.store.append_journal(self.name, batch, meta=self.meta)
@@ -564,31 +569,29 @@ class SweepLedger:
         """Write the canonical store (or, ``complete=False``, the partial
         store of a cancelled sweep, when it completed anything).
 
-        After checkpoints the tail is flushed and the journal compacted into
-        the store (merged with it on a resume); otherwise a resume appends
-        its new records and a fresh run saves all of them, sorted.  Each
-        path yields the same bytes for the same records.  *kind* names the
-        ``store.checkpoint`` span of a complete write; a partial write's
-        span is ``cancel``.
+        The store is written from the records held, whatever reached the
+        journal: a resume appends its new records, a fresh run saves all of
+        them, sorted.  The journal is removed once the store has committed,
+        so a crash in between leaves only bitwise duplicates.  *kind* names
+        the ``store.checkpoint`` span of a complete write; a partial
+        write's span is ``cancel``.
         """
         if self.store is None or not (complete or self.completed):
             return
         with get_telemetry().span("store.checkpoint",
                                   kind=kind if complete else "cancel",
                                   sweep=self.name, records=self.done):
-            if self.journaled:
-                if self.tail:
-                    self.store.append_journal(self.name, self.tail,
-                                              meta=self.meta)
-                    self.tail = []
-                path = self.store.compact_journal(self.name,
-                                                  merge_store=self.resume)
-            elif self.resume:
+            if self.resume:
                 path = self.store.append_keyed(
                     self.name, list(self.completed.values()), meta=self.meta)
             else:
                 path = self.store.save_keyed(self.name, self.records(),
                                              meta=self.meta)
+            self.finished = True
+            try:
+                self.store.journal_path(self.name).unlink()
+            except FileNotFoundError:
+                pass
         self.path = str(path)
 
     def summary(self) -> Dict:

@@ -173,6 +173,8 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
              labels=label, kind="counter")
         emit("sweep_duplicate_records", per.get("duplicate_records"),
              labels=label, kind="counter")
+        emit("sweep_split_groups", per.get("split_groups"), labels=label,
+             kind="counter")
         emit("sweep_throughput_cells_per_second", per.get("throughput"),
              labels=label)
         emit("sweep_eta_seconds", per.get("eta_seconds"), labels=label)

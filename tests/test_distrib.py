@@ -12,6 +12,8 @@ import io
 import json
 import multiprocessing
 import os
+import socket
+import threading
 import time
 from multiprocessing.context import SpawnProcess
 
@@ -27,12 +29,14 @@ from repro.distrib import (
     connect,
     execute_sweep_distributed,
     format_eta,
+    run_worker,
     worker_process_entry,
 )
 from repro.distrib.local import BLAS_THREAD_PINS
 from repro.distrib.protocol import decode_message, encode_message
 from repro.engine import ExperimentEngine, ProgramCache, ResultStore
 from repro.explore import SweepSpec, execute_sweep
+from repro.telemetry import render_prometheus
 
 #: Same 4-cell sweep the persistence tests use (~1 s monolithic).
 TEST_SWEEP = SweepSpec(benchmarks=("crc32", "fdct"), x_limits=(1.1, 1.5))
@@ -74,11 +78,12 @@ def straggler_monolithic(tmp_path_factory):
                           tmp_path_factory.mktemp("straggler-mono"))
 
 
-def draining_service(sweep, store=None, **options) -> SweepService:
-    """A started service hosting *sweep* as ``"sweep"`` in one-cell leases;
-    it releases its workers once the sweep is terminal."""
+def draining_service(sweep, store=None, batch_size=1,
+                     **options) -> SweepService:
+    """A started service hosting *sweep* as ``"sweep"`` (one-cell leases by
+    default); it releases its workers once the sweep is terminal."""
     service = SweepService(store=store, drain_when_idle=True, **options)
-    service.submit(sweep, "sweep", batch_size=1)
+    service.submit(sweep, "sweep", batch_size=batch_size)
     return service.start()
 
 
@@ -361,6 +366,102 @@ def test_result_for_unknown_cell_is_rejected():
         if rogue is not None:
             rogue.close()
         service.shutdown()
+
+
+# --------------------------------------------------------------------------- #
+# Affinity leases: one benchmark per worker until the tail splits a group
+# --------------------------------------------------------------------------- #
+def complete(stream, lease):
+    """Report a fabricated record for every cell of *lease*."""
+    stream.send({"type": "result", "lease_id": lease["lease_id"],
+                 "sweep": lease["sweep"],
+                 "records": [{"cell_key": key, "energy": 1.0}
+                             for key in lease["keys"]]})
+
+
+def test_affinity_leases_keep_groups_until_the_tail_splits_one():
+    sweep = SweepSpec(benchmarks=("crc32", "fdct"), opt_levels=("O2", "Os"),
+                      x_limits=(1.1, 1.5, 2.0))
+    group = {benchmark: [cell.key for cell in sweep.cells()
+                         if cell.spec.benchmark == benchmark]
+             for benchmark in sweep.benchmarks}
+    service = draining_service(sweep, batch_size=2)
+    first = second = None
+    try:
+        first = fake_worker(service, "first")
+        second = fake_worker(service, "second")
+        # Each peer takes the first group no other peer holds, from its
+        # front: the group's leading keys, in sweep order.
+        held = request(first)
+        assert held["keys"] == group["crc32"][:len(held["keys"])]
+        other = request(second)
+        assert other["keys"] == group["fdct"][:len(other["keys"])]
+
+        # `first` drains crc32 while `second` sits on its fdct lease: every
+        # lease stays in the group it holds, and no group is split.
+        drained = list(held["keys"])
+        while len(drained) < len(group["crc32"]):
+            complete(first, held)
+            held = request(first)
+            assert set(held["keys"]) <= set(group["crc32"])
+            drained += held["keys"]
+        assert drained == group["crc32"]
+        assert sweep_stats(service)["split_groups"] == 0
+
+        # Only fdct has pending cells, and `second` holds it: `first`
+        # splits the tail, taking fdct's back end.
+        complete(first, held)
+        tail = request(first)
+        assert tail["keys"] == group["fdct"][-len(tail["keys"]):]
+        assert sweep_stats(service)["split_groups"] == 1
+        assert 'repro_sweep_split_groups{sweep="sweep"} 1' in \
+            render_prometheus(service.metrics_snapshot())
+
+        # Both drain the rest and the count stands in the summary.
+        for stream, lease in ((first, tail), (second, other)):
+            while lease["type"] == "lease":
+                complete(stream, lease)
+                lease = request(stream)
+        assert service.wait("sweep", 30.0)
+        summary = service.summary("sweep")
+        assert summary["computed"] == sweep.size
+        assert summary["distrib"]["split_groups"] == 1
+    finally:
+        for stream in (first, second):
+            if stream is not None:
+                stream.close()
+        service.shutdown()
+
+
+def test_parked_worker_leaves_when_the_service_closes():
+    """A worker told to wait 30 s leaves at once when the connection
+    closes: the service never sends unsolicited messages, so a readable
+    connection during a wait means the service is gone."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def park_then_close():
+        conn, _addr = listener.accept()
+        with conn, conn.makefile("rb") as lines:
+            for reply in ({"type": "welcome", "version": PROTOCOL_VERSION,
+                           "heartbeat_interval": 60.0},
+                          {"type": "wait", "seconds": 30}):
+                lines.readline()
+                conn.sendall(encode_message(reply))
+
+    server = threading.Thread(target=park_then_close, daemon=True)
+    server.start()
+    try:
+        started = time.monotonic()
+        stats = run_worker("127.0.0.1", port, name="parked",
+                           connect_timeout=5.0)
+        elapsed = time.monotonic() - started
+    finally:
+        server.join(timeout=10.0)
+        listener.close()
+    assert not server.is_alive()
+    assert stats["waits"] == 1 and stats["cells"] == 0
+    assert elapsed < 5.0, f"parked worker took {elapsed:.1f}s to leave"
 
 
 # --------------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ import doctest
 import json
 import multiprocessing
 import socket
+import threading
 import time
 
 import pytest
@@ -383,6 +384,76 @@ def test_rejected_duplicate_submit_leaves_live_journal_intact(tmp_path):
         service.shutdown()
     assert store.path_for("alpha").read_bytes() == \
         reference.path_for("alpha").read_bytes()
+
+
+class StallFirstEntry:
+    """A lock whose first ``with`` waits for :attr:`go` before acquiring,
+    so a test can hold one checkpoint write back while others proceed."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self._first = None
+        self.stalled = threading.Event()
+        self.go = threading.Event()
+        self.released = threading.Event()
+
+    def __enter__(self):
+        if self._first is None:
+            self._first = threading.get_ident()
+            self.stalled.set()
+            self.go.wait(30.0)
+        self._lock.acquire()
+
+    def __exit__(self, *_exc):
+        self._lock.release()
+        if threading.get_ident() == self._first:
+            self.released.set()
+
+
+def test_late_checkpoint_batch_cannot_vanish_from_a_completed_store(
+        tmp_path):
+    """A checkpoint batch popped before the sweep completes but written
+    after it must still be in the store, and must not leave a journal.
+
+    Regression: the final write compacted the journal, so a batch still on
+    its way to the journal was missing from a store that read completed,
+    and landed in a fresh journal instead.
+    """
+    store = ResultStore(tmp_path / "race")
+    service = start_service(store=store, checkpoint_every=1)
+    stall = StallFirstEntry(service._journal_lock)
+    service._journal_lock = stall
+    early = late = None
+    try:
+        service.submit(ALPHA, "race", batch_size=1)
+        early = fake_worker(service, "early")
+        late = fake_worker(service, "late")
+        leases = [request(early), request(late)]
+        assert {key for lease in leases for key in lease["keys"]} == \
+            {cell.key for cell in ALPHA.cells()}
+        for stream, lease in zip((early, late), leases):
+            stream.send({"type": "result", "lease_id": lease["lease_id"],
+                         "sweep": "race",
+                         "records": [{"cell_key": key, "energy": 1.0}
+                                     for key in lease["keys"]]})
+            if stream is early:
+                # The early batch is popped from the tail and waits for the
+                # journal lock while the late result completes the sweep.
+                assert stall.stalled.wait(30.0)
+        assert service.wait("race", 30.0)
+        stall.go.set()
+        assert stall.released.wait(30.0)
+        summary = service.summary("race")
+    finally:
+        stall.go.set()
+        for stream in (early, late):
+            if stream is not None:
+                stream.close()
+        service.shutdown()
+    assert summary["status"] == "completed"
+    assert store.load_keyed("race") == \
+        {record["cell_key"]: record for record in summary["records"]}
+    assert not store.journal_path("race").exists()
 
 
 def test_cells_by_worker_counters_are_per_sweep():
